@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/degradation.hpp"
+#include "core/control_round.hpp"
+#include "core/endpoint.hpp"
 #include "core/invariants.hpp"
 #include "obs/replay.hpp"
 #include "rm/power_manager.hpp"
@@ -25,32 +26,30 @@ std::string_view failure_kind_name(sim::FailureKind kind) {
   return "unknown";
 }
 
-/// One "caps" event per job: the caps the RM step just programmed, at
-/// exact numeric fidelity (the replay oracle's input).
-void emit_caps_events(const obs::Observability& obs, std::uint64_t tick,
-                      std::span<sim::JobSimulation* const> jobs) {
-  if (!obs.tracing()) {
-    return;
-  }
-  for (const auto* job : jobs) {
-    obs::TraceEvent event;
-    event.tick = tick;
-    event.category = std::string(obs::cat::kCoord);
-    event.name = "caps";
-    event.args.reserve(job->host_count() + 1);
-    event.args.push_back({"job", job->name()});
-    for (std::size_t h = 0; h < job->host_count(); ++h) {
-      event.args.push_back({obs::cap_key(h), job->host_cap(h)});
-    }
-    if (job->has_gpu_domain()) {
-      // GPU-domain caps ride the same event under g-keys; CPU-only jobs
-      // emit none, so pre-hetero golden traces are byte-identical.
-      for (std::size_t h = 0; h < job->host_count(); ++h) {
-        event.args.push_back({obs::gpu_cap_key(h), job->host_gpu_cap(h)});
+/// Re-reads into `caps` the caps the jobs' hosts run with, GPU domain
+/// included, and returns the largest per-limit move since the last read.
+double reread_caps(std::span<sim::JobSimulation* const> jobs,
+                   rm::PowerAllocation& caps) {
+  double change = 0.0;
+  const auto read = [&change](double& slot, double cap) {
+    change = std::max(change, std::abs(cap - slot));
+    slot = cap;
+  };
+  caps.job_host_caps.resize(jobs.size());
+  caps.job_host_gpu_caps.resize(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const sim::JobSimulation& job = *jobs[j];
+    caps.job_host_caps[j].resize(job.host_count());
+    caps.job_host_gpu_caps[j].resize(job.has_gpu_domain() ? job.host_count()
+                                                          : 0);
+    for (std::size_t h = 0; h < job.host_count(); ++h) {
+      read(caps.job_host_caps[j][h], job.host_cap(h));
+      if (job.has_gpu_domain()) {
+        read(caps.job_host_gpu_caps[j][h], job.host_gpu_cap(h));
       }
     }
-    obs.trace->emit(std::move(event));
   }
+  return change;
 }
 
 }  // namespace
@@ -87,17 +86,14 @@ CoordinationLoop::CoordinationLoop(double system_budget_watts,
 
 PolicyContext CoordinationLoop::build_context(
     std::span<sim::JobSimulation* const> jobs) {
-  PolicyContext context;
-  context.system_budget_watts = budget_;
-  context.node_tdp_watts = jobs.front()->host(0).tdp();
-  context.uncappable_watts =
-      jobs.front()->host(0).params().dram_watts;
+  // Each job's live telemetry in the wire's shape: the RM step sees
+  // exactly the context a daemon builds from the same samples.
+  std::vector<SampleMessage> samples(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     sim::JobSimulation& job = *jobs[j];
-    runtime::JobCharacterization data;
-    data.host_count = job.host_count();
-    data.sla_class = job.sla_class();
-    data.min_settable_cap_watts = job.host(0).min_cap();
+    SampleMessage& sample = samples[j];
+    sample.min_settable_cap_watts = job.host(0).min_cap();
+    sample.sla_class = job.sla_class();
     // Live "needed" estimate: the balancer search under an unconstrained
     // budget re-derives each host's minimum performance-preserving cap
     // for the job's *current* phase.
@@ -105,27 +101,21 @@ PolicyContext CoordinationLoop::build_context(
     for (std::size_t h = 0; h < job.host_count(); ++h) {
       tdp_budget += job.host(h).tdp();
     }
-    data.balancer.host_needed_power_watts =
+    sample.host_needed_watts =
         runtime::balance_power(job, tdp_budget, options_.balancer);
     // A dead host needs (and demands) nothing above the settable floor:
     // the policy squeezes it there and the difference returns to the
     // pool for the survivors.
     for (std::size_t h = 0; h < job.host_count(); ++h) {
       if (job.host_failed(h)) {
-        data.balancer.host_needed_power_watts[h] = job.host(h).min_cap();
+        sample.host_needed_watts[h] = job.host(h).min_cap();
         live_[j].demand_watts[h] = job.host(h).min_cap();
       }
     }
     // Live "monitor" estimate: the running demand maximum observed so
     // far (a host capped below its demand still reveals demand up to its
     // cap; the estimate grows as caps rise).
-    data.monitor.host_average_power_watts = live_[j].demand_watts;
-    data.monitor.max_host_power_watts =
-        *std::max_element(live_[j].demand_watts.begin(),
-                          live_[j].demand_watts.end());
-    data.monitor.min_host_power_watts =
-        *std::min_element(live_[j].demand_watts.begin(),
-                          live_[j].demand_watts.end());
+    sample.host_observed_watts = live_[j].demand_watts;
     if (job.has_gpu_domain()) {
       // GPU-domain telemetry: live demand from the GPU ratchet, needed
       // power re-derived per domain against one whole-node time target.
@@ -136,39 +126,34 @@ PolicyContext CoordinationLoop::build_context(
       const double target =
           runtime::uncapped_iteration_seconds(job) *
           (1.0 + options_.balancer.tolerated_slowdown);
-      data.host_gpu_needed_watts.assign(job.host_count(), 0.0);
-      data.host_gpu_observed_watts = live_[j].gpu_demand_watts;
+      sample.host_gpu_needed_watts.assign(job.host_count(), 0.0);
+      sample.host_gpu_observed_watts = live_[j].gpu_demand_watts;
       for (std::size_t h = 0; h < job.host_count(); ++h) {
         if (!job.host_failed(h)) {
-          data.balancer.host_needed_power_watts[h] =
+          sample.host_needed_watts[h] =
               runtime::min_cap_for_time(job, h, target, options_.balancer);
         }
         if (!job.host_has_gpu_phase(h)) {
           continue;
         }
-        if (data.gpu_min_cap_watts == 0.0) {
-          data.gpu_min_cap_watts = job.host_gpu_min_cap(h);
-          data.gpu_tdp_watts = job.host_gpu_tdp(h);
+        if (sample.gpu_min_cap_watts == 0.0) {
+          sample.gpu_min_cap_watts = job.host_gpu_min_cap(h);
+          sample.gpu_tdp_watts = job.host_gpu_tdp(h);
         }
         if (job.host_failed(h)) {
-          data.host_gpu_needed_watts[h] = job.host_gpu_min_cap(h);
+          sample.host_gpu_needed_watts[h] = job.host_gpu_min_cap(h);
           live_[j].gpu_demand_watts[h] = job.host_gpu_min_cap(h);
-          data.host_gpu_observed_watts[h] = job.host_gpu_min_cap(h);
+          sample.host_gpu_observed_watts[h] = job.host_gpu_min_cap(h);
         } else {
-          data.host_gpu_needed_watts[h] = runtime::min_gpu_cap_for_time(
+          sample.host_gpu_needed_watts[h] = runtime::min_gpu_cap_for_time(
               job, h, target, options_.balancer);
         }
       }
     }
-    data.balancer.min_host_needed_watts =
-        *std::min_element(data.balancer.host_needed_power_watts.begin(),
-                          data.balancer.host_needed_power_watts.end());
-    data.balancer.max_host_needed_watts =
-        *std::max_element(data.balancer.host_needed_power_watts.begin(),
-                          data.balancer.host_needed_power_watts.end());
-    context.jobs.push_back(std::move(data));
   }
-  return context;
+  return context_from_samples(budget_, jobs.front()->host(0).tdp(),
+                              jobs.front()->host(0).params().dram_watts,
+                              samples);
 }
 
 CoordinationResult CoordinationLoop::run(
@@ -207,54 +192,42 @@ CoordinationResult CoordinationLoop::run_dynamic(
                "budget revisions must be sorted by at_epoch");
   }
 
-  // Initial state: uniform distribution of the budget (StaticCaps-like),
-  // demand estimates seeded at the settable floor. Heterogeneous hosts
-  // split their share CPU:GPU by TDP ratio until the first RM step; the
-  // invariant tolerances count every programmable limit (one per host
-  // plus one per GPU-phase host), since each limit quantizes separately.
-  std::size_t total_hosts = 0;
-  std::size_t total_limits = 0;
-  for (const auto* job : jobs) {
-    total_hosts += job->host_count();
-    total_limits += job->host_count();
-    for (std::size_t h = 0; h < job->host_count(); ++h) {
-      if (job->host_has_gpu_phase(h)) {
-        ++total_limits;
-      }
-    }
-  }
-  const double share = budget_ / static_cast<double>(total_hosts);
+  // Initial state: the control round's uniform seed, demand estimates
+  // seeded at the settable floor. A job's hosts share one envelope, as
+  // the policy context assumes.
+  std::vector<JobLimits> limits;
   live_.assign(jobs.size(), {});
-  std::vector<std::vector<double>> previous_caps(jobs.size());
-  std::vector<std::vector<double>> previous_gpu_caps(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    live_[j].demand_watts.assign(jobs[j]->host_count(),
-                                 jobs[j]->host(0).min_cap());
-    previous_caps[j].resize(jobs[j]->host_count());
-    previous_gpu_caps[j].assign(jobs[j]->host_count(), 0.0);
-    if (jobs[j]->has_gpu_domain()) {
-      live_[j].gpu_demand_watts.assign(jobs[j]->host_count(), 0.0);
-    }
-    for (std::size_t h = 0; h < jobs[j]->host_count(); ++h) {
-      if (jobs[j]->host_has_gpu_phase(h)) {
-        const double cpu_tdp = jobs[j]->host(h).tdp();
-        const double gpu_tdp = jobs[j]->host_gpu_tdp(h);
-        const double cpu_fraction = cpu_tdp / (cpu_tdp + gpu_tdp);
-        jobs[j]->set_host_cap(h, share * cpu_fraction);
-        jobs[j]->set_host_gpu_cap(h, share * (1.0 - cpu_fraction));
-        live_[j].gpu_demand_watts[h] = jobs[j]->host_gpu_min_cap(h);
-        previous_gpu_caps[j][h] = jobs[j]->host_gpu_cap(h);
-      } else {
-        jobs[j]->set_host_cap(h, share);
+    const sim::JobSimulation& job = *jobs[j];
+    limits.push_back({.hosts = job.host_count(),
+                      .floor_watts = job.host(0).min_cap(),
+                      .tdp_watts = job.host(0).tdp(),
+                      .gpu_domain = job.has_gpu_domain(),
+                      .gpu_floor_watts = job.host(0).gpu_min_cap(),
+                      .gpu_tdp_watts = job.host(0).gpu_tdp(),
+                      .sla_class = job.sla_class()});
+    live_[j].demand_watts.assign(job.host_count(), job.host(0).min_cap());
+    if (job.has_gpu_domain()) {
+      live_[j].gpu_demand_watts.assign(job.host_count(), 0.0);
+      for (std::size_t h = 0; h < job.host_count(); ++h) {
+        if (job.host_has_gpu_phase(h)) {
+          live_[j].gpu_demand_watts[h] = job.host_gpu_min_cap(h);
+        }
       }
-      previous_caps[j][h] = jobs[j]->host_cap(h);
     }
   }
-
   const auto policy = make_policy(options_.policy);
   rm::SystemPowerManager manager(budget_);
   const obs::Observability& obs = options_.obs;
   manager.set_observer(obs);
+  const RoundOutcome seeded =
+      ControlRound{.jobs = limits, .budget_watts = budget_}.run();
+  manager.apply(jobs, seeded.caps, /*enforce_budget=*/false);
+  const std::size_t total_limits = seeded.limits;
+  // The caps the hosts run with: what keep-vs-clamp weighs, and what the
+  // next RM step's moves are measured against.
+  rm::PowerAllocation in_force;
+  static_cast<void>(reread_caps(jobs, in_force));
 
   CoordinationResult result;
   std::vector<ReclaimRecord> pending_reclaims;
@@ -381,72 +354,33 @@ CoordinationResult CoordinationLoop::run_dynamic(
       budget_telemetry->excursion_epochs.push_back(epoch_index);
     }
 
-    // RM step: re-allocate from the live telemetry. Multi-tenant mixes
-    // pass the policy output through the shared class-ordered degradation
-    // step (identity for single-class mixes and under abundance), so
-    // scarcity is absorbed by best_effort floors first.
+    // RM step: one control round over the live telemetry. Only
+    // system-aware policies are held to the budget.
     const PolicyContext context = build_context(jobs);
-    const rm::PowerAllocation allocation = apply_sla_degradation(
-        context, policy->allocate(context), budget_, "coordination.degrade");
-    const bool over_budget =
-        policy->is_system_aware() &&
-        !allocation.within_budget(
-            budget_, 0.5 * static_cast<double>(allocation.host_count()));
-    if (over_budget) {
-      // A policy output the site would reject: keep every job on its
-      // last caps rather than programming an over-budget allocation —
-      // unless a revision left the last caps over budget too, in which
-      // case the emergency clamp scales the output onto the budget.
-      if (telemetry != nullptr) {
-        telemetry->budget_violation_epochs.push_back(epoch_index);
-      }
-      if (programmed > budget_ + tolerance) {
-        std::vector<sim::SlaClass> classes;
-        classes.reserve(jobs.size());
-        for (const auto* job : jobs) {
-          classes.push_back(job->sla_class());
-        }
-        manager.emergency_clamp(jobs, allocation, classes);
-        record.emergency_clamped = true;
-        if (budget_telemetry != nullptr) {
-          ++budget_telemetry->emergency_clamps;
-        }
-      }
-    } else {
-      manager.apply(jobs, allocation, policy->is_system_aware());
+    const RoundOutcome round =
+        ControlRound{.jobs = limits,
+                     .budget_watts = budget_,
+                     .policy = policy.get(),
+                     .context = &context,
+                     .caps_in_force = &in_force,
+                     .budget_binds = policy->is_system_aware()}
+            .run();
+    if (round.over_budget && telemetry != nullptr) {
+      telemetry->budget_violation_epochs.push_back(epoch_index);
     }
-    // Close the excursion (if any) at the reprogram instant and assert
-    // the loop's invariants over the freshly programmed caps.
+    if (round.verdict == RoundVerdict::kClamp) {
+      record.emergency_clamped = true;
+      if (budget_telemetry != nullptr) {
+        ++budget_telemetry->emergency_clamps;
+      }
+    }
+    if (round.verdict != RoundVerdict::kKeep) {
+      manager.apply(jobs, round.caps, /*enforce_budget=*/false);
+    }
+    // Close the excursion (if any) at the reprogram instant.
     manager.observe_programmed(
         rm::SystemPowerManager::total_allocated_watts(jobs), total_limits,
         0.0);
-    if (policy->is_system_aware()) {
-      double floors_watts = 0.0;
-      for (const auto* job : jobs) {
-        for (std::size_t h = 0; h < job->host_count(); ++h) {
-          floors_watts += job->host(h).min_cap();
-          if (job->host_has_gpu_phase(h)) {
-            floors_watts += job->host_gpu_min_cap(h);
-          }
-        }
-      }
-      invariants::check_caps_fit_budget(
-          rm::SystemPowerManager::total_allocated_watts(jobs),
-          std::max(budget_, floors_watts), total_limits,
-          "coordination.rm_step");
-    }
-    for (const auto* job : jobs) {
-      for (std::size_t h = 0; h < job->host_count(); ++h) {
-        invariants::check_cap_bounds(job->host_cap(h), job->host(h).min_cap(),
-                                     job->host(h).tdp(), 0.5,
-                                     "coordination.cap");
-        if (job->host_has_gpu_phase(h)) {
-          invariants::check_cap_bounds(
-              job->host_gpu_cap(h), job->host_gpu_min_cap(h),
-              job->host_gpu_tdp(h), 0.5, "coordination.gpu_cap");
-        }
-      }
-    }
 
     // A failure is reclaimed once the dead host sits at the floor: every
     // watt above the settable minimum is back in the pool. Policies park
@@ -482,24 +416,9 @@ CoordinationResult CoordinationLoop::run_dynamic(
 
     record.allocated_watts =
         rm::SystemPowerManager::total_allocated_watts(jobs);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      for (std::size_t h = 0; h < jobs[j]->host_count(); ++h) {
-        const double cap = jobs[j]->host_cap(h);
-        record.max_cap_change_watts =
-            std::max(record.max_cap_change_watts,
-                     std::abs(cap - previous_caps[j][h]));
-        previous_caps[j][h] = cap;
-        if (jobs[j]->host_has_gpu_phase(h)) {
-          // Convergence tracks GPU-domain moves too: a loop still
-          // shifting watts CPU<->GPU has not settled.
-          const double gpu_cap = jobs[j]->host_gpu_cap(h);
-          record.max_cap_change_watts =
-              std::max(record.max_cap_change_watts,
-                       std::abs(gpu_cap - previous_gpu_caps[j][h]));
-          previous_gpu_caps[j][h] = gpu_cap;
-        }
-      }
-    }
+    // Convergence tracks GPU-domain moves too: a loop still shifting
+    // watts CPU<->GPU has not settled.
+    record.max_cap_change_watts = reread_caps(jobs, in_force);
     if (!result.converged && epoch_index > 0 &&
         record.max_cap_change_watts < options_.convergence_watts) {
       result.converged = true;
@@ -508,7 +427,14 @@ CoordinationResult CoordinationLoop::run_dynamic(
       result.converged = false;  // a phase change can de-converge the loop
     }
 
-    emit_caps_events(obs, epoch_index, jobs);
+    if (obs.tracing()) {
+      // One "caps" event per job: the caps the RM step just programmed.
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        obs.trace->emit(obs::caps_event(
+            epoch_index, obs::cat::kCoord, {{"job", jobs[j]->name()}},
+            in_force.job_host_caps[j], in_force.job_host_gpu_caps[j]));
+      }
+    }
     obs.emit(epoch_index, obs::cat::kCoord, "epoch",
              {{"epoch", static_cast<std::uint64_t>(record.epoch)},
               {"budget_watts", record.budget_watts},

@@ -6,7 +6,7 @@
 #include <limits>
 #include <numbers>
 
-#include "core/degradation.hpp"
+#include "core/control_round.hpp"
 #include "core/invariants.hpp"
 #include "core/mixes.hpp"
 #include "rm/power_manager.hpp"
@@ -220,6 +220,7 @@ FacilityManager::FacilityManager(sim::Cluster& cluster,
       options_(options),
       scheduler_(cluster.size(), effective_admission(cluster, options)),
       power_manager_(effective_budget_watts(cluster, options)),
+      policy_(core::make_policy(options.policy)),
       failure_rng_(options.failure_seed) {
   PS_REQUIRE(options.step_hours > 0.0, "step must be positive");
   PS_REQUIRE(options.node_mtbf_hours >= 0.0, "MTBF cannot be negative");
@@ -349,82 +350,40 @@ void FacilityManager::reallocate_power() {
   context.system_budget_watts = power_manager_.budget_watts();
   context.node_tdp_watts = cluster_->node(0).tdp();
   context.uncappable_watts = cluster_->node(0).params().dram_watts;
-  for (const auto& job : running_) {
-    context.jobs.push_back(job.characterization);
-  }
-  const auto policy = core::make_policy(options_.policy);
-  // The same class-ordered degradation step the in-memory loop and the
-  // daemon run on a policy output: under scarcity best_effort sheds to
-  // its floors before standard, latency_critical last. Identity (and
-  // zero extra work) for single-class mixes.
-  const rm::PowerAllocation raw = policy->allocate(context);
-  const rm::PowerAllocation allocation = core::apply_sla_degradation(
-      context, raw, power_manager_.budget_watts(), "facility.degrade");
-  // Shed watts = what the losing jobs gave up, per reshaping pass. The
-  // degradation step re-divides at (near-)constant total, so the total
-  // delta would hide it; sum the per-limit reductions instead.
-  const auto watts_moved = [](const rm::PowerAllocation& from,
-                              const rm::PowerAllocation& to) {
-    double moved = 0.0;
-    for (std::size_t j = 0; j < from.job_host_caps.size(); ++j) {
-      for (std::size_t h = 0; h < from.job_host_caps[j].size(); ++h) {
-        moved += std::max(0.0,
-                          from.job_host_caps[j][h] - to.job_host_caps[j][h]);
-      }
-    }
-    for (std::size_t j = 0; j < from.job_host_gpu_caps.size(); ++j) {
-      for (std::size_t h = 0; h < from.job_host_gpu_caps[j].size(); ++h) {
-        moved += std::max(0.0, from.job_host_gpu_caps[j][h] -
-                                   to.job_host_gpu_caps[j][h]);
-      }
-    }
-    return moved;
-  };
-  double shed_watts = watts_moved(raw, allocation);
   std::vector<sim::JobSimulation*> jobs;
-  std::vector<sim::SlaClass> classes;
-  jobs.reserve(running_.size());
-  classes.reserve(running_.size());
-  std::size_t hosts = 0;
-  for (auto& job : running_) {
+  std::vector<core::JobLimits> limits;
+  for (const auto& job : running_) {
+    // Each job's envelope, from its characterization.
+    const runtime::JobCharacterization& data = job.characterization;
+    context.jobs.push_back(data);
     jobs.push_back(job.simulation.get());
-    classes.push_back(job.characterization.sla_class);
-    hosts += job.simulation->host_count();
+    limits.push_back({.hosts = data.host_count,
+                      .floor_watts = data.min_settable_cap_watts,
+                      .tdp_watts = context.job_tdp_watts(limits.size()),
+                      .gpu_domain = data.has_gpu_domain(),
+                      .gpu_floor_watts = data.gpu_min_cap_watts,
+                      .gpu_tdp_watts = data.gpu_tdp_watts,
+                      .sla_class = data.sla_class});
   }
-  const double tolerance = 0.5 * static_cast<double>(hosts);
-  if (governor_.has_value() &&
-      allocation.total_watts() > power_manager_.budget_watts() + tolerance) {
-    // The policy's output no longer fits a shrunk budget (it may have
-    // been computed moments before a brownout revision): clamp it back
-    // inside the envelope, floors first — lowest class first.
-    const rm::PowerAllocation clamped =
-        power_manager_.emergency_clamp(jobs, allocation, classes);
-    shed_watts += watts_moved(allocation, clamped);
+  // The budget binds only under a governor: its output may have been
+  // computed moments before a brownout revision. No caps in force are
+  // handed in, so an over-budget output is clamped, never kept.
+  const core::RoundOutcome round =
+      core::ControlRound{.jobs = limits,
+                         .budget_watts = power_manager_.budget_watts(),
+                         .policy = policy_.get(),
+                         .context = &context,
+                         .budget_binds = governor_.has_value()}
+          .run();
+  if (round.verdict == core::RoundVerdict::kClamp) {
     ++emergency_clamps_;
-  } else {
-    power_manager_.apply(jobs, allocation, /*enforce_budget=*/false);
   }
-  if (shed_watts > 0.0 && options_.obs.metrics != nullptr) {
+  power_manager_.apply(jobs, round.caps, /*enforce_budget=*/false);
+  if (round.shed_watts > 0.0 && options_.obs.metrics != nullptr) {
     options_.obs.metrics->histogram("facility.shed_watts", kShedBounds)
-        .observe(shed_watts);
+        .observe(round.shed_watts);
   }
-  shed_watts_total_ += shed_watts;
-  if (governor_.has_value()) {
-    double floors = 0.0;
-    for (const auto& job : running_) {
-      const sim::JobSimulation& simulation = *job.simulation;
-      for (std::size_t h = 0; h < simulation.host_count(); ++h) {
-        floors += simulation.host(h).min_cap();
-        core::invariants::check_cap_bounds(
-            simulation.host_cap(h), simulation.host(h).min_cap(),
-            simulation.host(h).tdp(), 0.5, "facility.cap");
-      }
-    }
-    core::invariants::check_caps_fit_budget(
-        rm::SystemPowerManager::total_allocated_watts(jobs),
-        std::max(power_manager_.budget_watts(), floors), hosts,
-        "facility.reallocate");
-  }
+  shed_watts_total_ += round.shed_watts;
   refresh_profiles();
 }
 

@@ -253,6 +253,8 @@ class FacilityManager {
   rm::SystemPowerManager power_manager_;
   /// Present only when options_.budget_signal_watts is non-empty.
   std::optional<core::BudgetGovernor> governor_;
+  /// The configured policy, built once for the manager's life.
+  std::unique_ptr<core::Policy> policy_;
   std::size_t emergency_clamps_ = 0;
   std::vector<RunningJob> running_;
   util::Rng failure_rng_{0xfa11};

@@ -4,14 +4,14 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <utility>
 
-#include "core/degradation.hpp"
+#include "core/control_round.hpp"
 #include "core/invariants.hpp"
 #include "net/snapshot.hpp"
 #include "obs/replay.hpp"
 #include "rm/allocation.hpp"
-#include "rm/power_manager.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -25,6 +25,19 @@ constexpr double kRoundLatencyBounds[] = {0.0005, 0.001, 0.002, 0.005,
                                           0.01,   0.02,  0.05,  0.1,
                                           0.25,   0.5,   1.0,   2.5,
                                           5.0};
+
+/// A job's programmable envelope as its runtime reports it; the CPU/node
+/// TDP is the site's.
+core::JobLimits limits_from_sample(const core::SampleMessage& sample,
+                                   double node_tdp_watts) {
+  return {.hosts = sample.host_observed_watts.size(),
+          .floor_watts = sample.min_settable_cap_watts,
+          .tdp_watts = node_tdp_watts,
+          .gpu_domain = sample.has_gpu_domain(),
+          .gpu_floor_watts = sample.gpu_min_cap_watts,
+          .gpu_tdp_watts = sample.gpu_tdp_watts,
+          .sla_class = sample.sla_class};
+}
 
 }  // namespace
 
@@ -264,49 +277,46 @@ void PowerDaemon::push_budget_to_sessions() {
 }
 
 void PowerDaemon::clamp_stored_caps() {
-  // Gather every job's stored caps; if together they no longer fit the
-  // revised budget, scale them onto it (shape-preserving, never below
-  // the job's settable floor) so a resend or a snapshot restore cannot
-  // reprogram a superseded allocation.
+  // A round over the stored caps alone: if together they no longer fit
+  // the revised budget, it scales them onto it (floor-preserving, lowest
+  // class first) so a resend or a snapshot restore cannot reprogram a
+  // superseded allocation. A job not heard from since a restore has an
+  // unknown envelope.
+  std::vector<core::JobLimits> limits;
   rm::PowerAllocation stored;
-  std::vector<std::vector<double>> floors;
-  std::vector<std::vector<double>> gpu_floors;
-  std::vector<sim::SlaClass> classes;
-  std::vector<std::string> names;
-  std::size_t total_limits = 0;
   for (const auto& [name, record] : jobs_) {
-    if (!record.have_policy) {
-      continue;
+    if (record.have_policy) {
+      const auto& latest = record.latch.latest();
+      core::JobLimits job =
+          latest ? limits_from_sample(*latest, options_.node_tdp_watts)
+                 : core::JobLimits{
+                       .tdp_watts = options_.node_tdp_watts,
+                       .gpu_tdp_watts = std::numeric_limits<double>::infinity()};
+      job.hosts = record.last_caps_watts.size();
+      job.gpu_domain = !record.last_gpu_caps_watts.empty();
+      limits.push_back(job);
+      stored.job_host_caps.push_back(record.last_caps_watts);
+      stored.job_host_gpu_caps.push_back(record.last_gpu_caps_watts);
     }
-    const double floor =
-        record.latch.latest() ? record.latch.latest()->min_settable_cap_watts
-                              : 0.0;
-    stored.job_host_caps.push_back(record.last_caps_watts);
-    floors.emplace_back(record.last_caps_watts.size(), floor);
-    // The GPU domain clamps against its own settable floor, never the
-    // CPU one — the per-domain floor-preservation satellite.
-    const double gpu_floor =
-        record.latch.latest() ? record.latch.latest()->gpu_min_cap_watts : 0.0;
-    stored.job_host_gpu_caps.push_back(record.last_gpu_caps_watts);
-    gpu_floors.emplace_back(record.last_gpu_caps_watts.size(), gpu_floor);
-    classes.push_back(record.latch.latest() ? record.latch.latest()->sla_class
-                                            : sim::SlaClass::kStandard);
-    names.push_back(name);
-    total_limits +=
-        record.last_caps_watts.size() + record.last_gpu_caps_watts.size();
   }
-  if (names.empty()) {
+  if (limits.empty()) {
     return;
   }
-  const double tolerance = 0.5 * static_cast<double>(total_limits);
-  if (stored.total_watts() <= budget_watts_ + tolerance) {
-    return;  // the allocation still fits; nothing to clamp
+  core::RoundOutcome round = core::ControlRound{.jobs = limits,
+                                                .budget_watts = budget_watts_,
+                                                .caps_in_force = &stored,
+                                                .budget_binds = true}
+                                 .run();
+  if (round.verdict != core::RoundVerdict::kClamp) {
+    return;  // the stored caps still fit; nothing to clamp
   }
-  const rm::PowerAllocation clamped = rm::clamp_allocation_to_budget(
-      stored, floors, budget_watts_, gpu_floors, classes);
-  for (std::size_t j = 0; j < names.size(); ++j) {
-    jobs_.at(names[j]).last_caps_watts = clamped.job_host_caps[j];
-    jobs_.at(names[j]).last_gpu_caps_watts = clamped.job_host_gpu_caps[j];
+  std::size_t j = 0;
+  for (auto& [name, record] : jobs_) {
+    if (record.have_policy) {
+      record.last_caps_watts = std::move(round.caps.job_host_caps[j]);
+      record.last_gpu_caps_watts = std::move(round.caps.job_host_gpu_caps[j]);
+      ++j;
+    }
   }
   const std::lock_guard<std::mutex> lock(shared_mutex_);
   ++stats_.emergency_clamps;
@@ -925,111 +935,58 @@ void PowerDaemon::allocate_once() {
     ++next_scheduled_revision_;
   }
 
-  std::size_t total_hosts = 0;
-  std::size_t total_limits = 0;
-  for (const core::SampleMessage& sample : samples) {
-    total_hosts += sample.host_observed_watts.size();
-    total_limits += sample.host_observed_watts.size() +
-                    sample.host_gpu_needed_watts.size();
-  }
-  const double tolerance = 0.5 * static_cast<double>(total_limits);
-
-  std::vector<core::PolicyMessage> messages(samples.size());
-  bool round_clamped = false;
-  if (all_bootstrap) {
-    // Launch: every job starts from the uniform share of the budget,
-    // exactly as the in-memory CoordinationLoop seeds itself. A
-    // heterogeneous job's hosts split their share CPU:GPU by TDP ratio.
-    const double share = budget_watts_ / static_cast<double>(total_hosts);
-    for (std::size_t j = 0; j < samples.size(); ++j) {
-      if (samples[j].has_gpu_domain()) {
-        const double cpu_tdp = options_.node_tdp_watts;
-        const double gpu_tdp = samples[j].gpu_tdp_watts;
-        const double cpu_fraction = cpu_tdp / (cpu_tdp + gpu_tdp);
-        messages[j].host_caps_watts.assign(
-            samples[j].host_observed_watts.size(), share * cpu_fraction);
-        messages[j].host_gpu_caps_watts.assign(
-            samples[j].host_observed_watts.size(),
-            share * (1.0 - cpu_fraction));
-      } else {
-        messages[j].host_caps_watts.assign(
-            samples[j].host_observed_watts.size(), share);
-      }
+  // The round itself: a bootstrap round seeds; later rounds allocate,
+  // and keep-vs-clamp sees every job's stored caps. Its inputs go out of
+  // scope before the fan-out.
+  core::RoundOutcome round = [&] {
+    std::vector<core::JobLimits> limits;
+    rm::PowerAllocation stored;
+    for (const auto& [name, record] : jobs_) {  // the samples' order
+      limits.push_back(limits_from_sample(*record.latch.latest(),
+                                          options_.node_tdp_watts));
+      stored.job_host_caps.push_back(record.last_caps_watts);
+      stored.job_host_gpu_caps.push_back(record.last_gpu_caps_watts);
     }
-  } else {
+    if (all_bootstrap) {
+      return core::ControlRound{.jobs = limits, .budget_watts = budget_watts_}
+          .run();
+    }
     const core::PolicyContext context = core::context_from_samples(
         budget_watts_, options_.node_tdp_watts, options_.uncappable_watts,
         samples);
-    // The same class-ordered degradation step the in-memory loop runs on
-    // its policy output — called with the identical context and budget,
-    // so multi-tenant rounds stay watt-for-watt equal across transports.
-    const rm::PowerAllocation allocation = core::apply_sla_degradation(
-        context, policy_->allocate(context), budget_watts_, "daemon.degrade");
-    if (policy_->is_system_aware() &&
-        !allocation.within_budget(budget_watts_, tolerance)) {
-      // A policy output a site would reject. If the stored caps still
-      // fit (the pre-revision behavior) keep every job on them; if a
-      // revision left even those over budget, emergency-clamp the
-      // policy's output onto it rather than staying in excursion.
-      {
-        const std::lock_guard<std::mutex> lock(shared_mutex_);
-        ++stats_.budget_violations;
-      }
-      options_.obs.count("net.daemon.budget_violations");
-      options_.obs.emit(round_sequence, obs::cat::kDaemon, "violation",
-                        {{"budget_watts", budget_watts_}});
-      double stored_watts = 0.0;
-      for (const auto& [name, record] : jobs_) {
-        for (const double cap : record.last_caps_watts) {
-          stored_watts += cap;
-        }
-        for (const double cap : record.last_gpu_caps_watts) {
-          stored_watts += cap;
-        }
-      }
-      if (stored_watts <= budget_watts_ + tolerance) {
-        return;
-      }
-      std::vector<std::vector<double>> floors;
-      floors.reserve(samples.size());
-      for (const core::SampleMessage& sample : samples) {
-        floors.emplace_back(sample.host_observed_watts.size(),
-                            sample.min_settable_cap_watts);
-      }
-      // GPU floors mirror the shape of the policy's GPU output: each
-      // domain scales toward its own settable floor under the clamp.
-      std::vector<std::vector<double>> gpu_floors;
-      gpu_floors.reserve(allocation.job_host_gpu_caps.size());
-      for (std::size_t j = 0; j < allocation.job_host_gpu_caps.size(); ++j) {
-        gpu_floors.emplace_back(allocation.job_host_gpu_caps[j].size(),
-                                samples[j].gpu_min_cap_watts);
-      }
-      std::vector<sim::SlaClass> classes;
-      classes.reserve(samples.size());
-      for (const core::SampleMessage& sample : samples) {
-        classes.push_back(sample.sla_class);
-      }
-      const rm::PowerAllocation clamped = rm::clamp_allocation_to_budget(
-          allocation, floors, budget_watts_, gpu_floors, classes);
-      for (std::size_t j = 0; j < samples.size(); ++j) {
-        messages[j].host_caps_watts = clamped.job_host_caps[j];
-        messages[j].host_gpu_caps_watts = clamped.job_gpu_caps(j);
-      }
-      round_clamped = true;
-      options_.obs.count("net.daemon.emergency_clamps");
+    return core::ControlRound{.jobs = limits,
+                              .budget_watts = budget_watts_,
+                              .policy = policy_.get(),
+                              .context = &context,
+                              .caps_in_force = &stored,
+                              .budget_binds = policy_->is_system_aware()}
+        .run();
+  }();
+  if (round.over_budget) {
+    // A policy output a site would reject: the round kept every job on
+    // its stored caps if they still fit, else emergency-clamped it.
+    const bool clamped = round.verdict == core::RoundVerdict::kClamp;
+    options_.obs.count("net.daemon.budget_violations");
+    options_.obs.emit(round_sequence, obs::cat::kDaemon, "violation",
+                      {{"budget_watts", budget_watts_}});
+    {
       const std::lock_guard<std::mutex> lock(shared_mutex_);
-      ++stats_.emergency_clamps;
-    } else {
-      for (std::size_t j = 0; j < samples.size(); ++j) {
-        messages[j].host_caps_watts = allocation.job_host_caps[j];
-        messages[j].host_gpu_caps_watts = allocation.job_gpu_caps(j);
-      }
+      ++stats_.budget_violations;
+      stats_.emergency_clamps += clamped ? 1 : 0;
     }
+    if (!clamped) {
+      return;
+    }
+    options_.obs.count("net.daemon.emergency_clamps");
   }
 
-  double round_watts = 0.0;
-  double round_floors = 0.0;
+  std::vector<core::PolicyMessage> messages(samples.size());
   for (std::size_t j = 0; j < samples.size(); ++j) {
+    messages[j].host_caps_watts = std::move(round.caps.job_host_caps[j]);
+    if (j < round.caps.job_host_gpu_caps.size()) {
+      messages[j].host_gpu_caps_watts =
+          std::move(round.caps.job_host_gpu_caps[j]);
+    }
     messages[j].sequence = samples[j].sequence;
     messages[j].job_name = samples[j].job_name;
     messages[j].budget_epoch = budget_epoch_;
@@ -1039,56 +996,26 @@ void PowerDaemon::allocate_once() {
     record.last_gpu_caps_watts = messages[j].host_gpu_caps_watts;
     record.last_sequence = messages[j].sequence;
     record.have_policy = true;
-    for (const double cap : messages[j].host_caps_watts) {
-      round_watts += cap;
-    }
-    for (const double cap : messages[j].host_gpu_caps_watts) {
-      round_watts += cap;
-    }
-    round_floors += samples[j].min_settable_cap_watts *
-                    static_cast<double>(messages[j].host_caps_watts.size());
-    round_floors +=
-        samples[j].gpu_min_cap_watts *
-        static_cast<double>(messages[j].host_gpu_caps_watts.size());
-  }
-  if (all_bootstrap || policy_->is_system_aware()) {
-    // The invariant the whole stack exists to hold: what this round
-    // programs fits the budget in force (or, degenerately, the floors).
-    core::invariants::check_caps_fit_budget(
-        round_watts, std::max(budget_watts_, round_floors), total_limits,
-        "daemon.allocate");
   }
   // The round's deterministic trace record, on the round-sequence clock:
   // round r here is coordination epoch r-1's RM step, and the caps carry
   // exact numeric fidelity — enough to replay the allocation watt-for-watt.
   if (options_.obs.tracing()) {
-    for (std::size_t j = 0; j < messages.size(); ++j) {
-      obs::TraceEvent event;
-      event.tick = round_sequence;
-      event.category = std::string(obs::cat::kDaemon);
-      event.name = "caps";
-      event.args.reserve(messages[j].host_caps_watts.size() + 2);
-      event.args.push_back({"job", messages[j].job_name});
-      event.args.push_back({"sequence", messages[j].sequence});
-      for (std::size_t h = 0; h < messages[j].host_caps_watts.size(); ++h) {
-        event.args.push_back(
-            {obs::cap_key(h), messages[j].host_caps_watts[h]});
-      }
-      for (std::size_t h = 0; h < messages[j].host_gpu_caps_watts.size();
-           ++h) {
-        event.args.push_back(
-            {obs::gpu_cap_key(h), messages[j].host_gpu_caps_watts[h]});
-      }
-      options_.obs.trace->emit(std::move(event));
+    for (const core::PolicyMessage& message : messages) {
+      options_.obs.trace->emit(obs::caps_event(
+          round_sequence, obs::cat::kDaemon,
+          {{"job", message.job_name}, {"sequence", message.sequence}},
+          message.host_caps_watts, message.host_gpu_caps_watts));
     }
     options_.obs.emit(round_sequence, obs::cat::kDaemon, "round",
                       {{"round", round_sequence},
                        {"jobs", static_cast<std::uint64_t>(messages.size())},
                        {"budget_watts", budget_watts_},
                        {"budget_epoch", budget_epoch_},
-                       {"allocated_watts", round_watts},
+                       {"allocated_watts", round.total_watts},
                        {"bootstrap", all_bootstrap},
-                       {"emergency", round_clamped}});
+                       {"emergency",
+                        round.verdict == core::RoundVerdict::kClamp}});
   }
   options_.obs.count("net.daemon.allocations");
   {

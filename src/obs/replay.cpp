@@ -4,6 +4,7 @@
 #include <array>
 #include <map>
 #include <ostream>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -61,6 +62,19 @@ std::string gpu_cap_key(std::size_t host) {
   std::string key = std::to_string(host);
   key.insert(key.begin(), 'g');
   return key;
+}
+
+TraceEvent caps_event(std::uint64_t tick, std::string_view category,
+                      std::vector<TraceArg> args, std::span<const double> caps,
+                      std::span<const double> gpu_caps) {
+  TraceEvent event{tick, std::string(category), "caps", std::move(args)};
+  for (std::size_t h = 0; h < caps.size(); ++h) {
+    event.args.push_back({cap_key(h), caps[h]});
+  }
+  for (std::size_t h = 0; h < gpu_caps.size(); ++h) {
+    event.args.push_back({gpu_cap_key(h), gpu_caps[h]});
+  }
+  return event;
 }
 
 TraceSummary summarize(std::span<const TraceEvent> events) {

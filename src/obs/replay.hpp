@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -32,6 +33,15 @@ struct TraceSummary {
 /// ("g0", "g1", ...). Only present for heterogeneous jobs; CPU-only
 /// traces never carry g-keys, so their byte form is unchanged.
 [[nodiscard]] std::string gpu_cap_key(std::size_t host);
+
+/// A "caps" event: `args` (the job and its tags), then one cap per host
+/// and, for a heterogeneous job, one GPU-domain cap per host — at exact
+/// numeric fidelity, the replayer's input.
+[[nodiscard]] TraceEvent caps_event(std::uint64_t tick,
+                                    std::string_view category,
+                                    std::vector<TraceArg> args,
+                                    std::span<const double> caps,
+                                    std::span<const double> gpu_caps);
 
 /// One job's caps within a reconstructed allocation step.
 struct ReplayedJobCaps {

@@ -177,7 +177,6 @@ void SystemPowerManager::set_observer(const obs::Observability& obs) {
     return;
   }
   applies_metric_ = &obs.metrics->counter("rm.applies");
-  clamps_metric_ = &obs.metrics->counter("rm.emergency_clamps");
   budget_adopted_metric_ = &obs.metrics->counter("rm.budget_adopted");
   budget_stale_metric_ = &obs.metrics->counter("rm.budget_stale");
   excursions_metric_ = &obs.metrics->counter("rm.excursions_closed");
@@ -238,39 +237,6 @@ void SystemPowerManager::apply(std::span<sim::JobSimulation* const> jobs,
   if (applies_metric_ != nullptr) {
     applies_metric_->add();
   }
-}
-
-PowerAllocation SystemPowerManager::emergency_clamp(
-    std::span<sim::JobSimulation* const> jobs,
-    const PowerAllocation& allocation,
-    std::span<const sim::SlaClass> job_classes) const {
-  PS_REQUIRE(allocation.job_host_caps.size() == jobs.size(),
-             "allocation has a different number of jobs");
-  std::vector<std::vector<double>> floors(jobs.size());
-  std::vector<std::vector<double>> gpu_floors(
-      allocation.job_host_gpu_caps.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    PS_REQUIRE(jobs[j] != nullptr, "job must not be null");
-    floors[j].reserve(jobs[j]->host_count());
-    for (std::size_t h = 0; h < jobs[j]->host_count(); ++h) {
-      floors[j].push_back(jobs[j]->host(h).min_cap());
-    }
-    // The GPU domain floor-preserves independently: each device set's
-    // settable minimum, not the CPU floor, bounds its squeeze.
-    if (j < gpu_floors.size() && !allocation.job_host_gpu_caps[j].empty()) {
-      gpu_floors[j].reserve(jobs[j]->host_count());
-      for (std::size_t h = 0; h < jobs[j]->host_count(); ++h) {
-        gpu_floors[j].push_back(jobs[j]->host_gpu_min_cap(h));
-      }
-    }
-  }
-  const PowerAllocation clamped = clamp_allocation_to_budget(
-      allocation, floors, budget_, gpu_floors, job_classes);
-  apply(jobs, clamped, /*enforce_budget=*/false);
-  if (clamps_metric_ != nullptr) {
-    clamps_metric_->add();
-  }
-  return clamped;
 }
 
 void SystemPowerManager::observe_programmed(double programmed_watts,

@@ -89,17 +89,6 @@ class SystemPowerManager {
              const PowerAllocation& allocation,
              bool enforce_budget = true) const;
 
-  /// Emergency-clamp path for a revision the current caps no longer fit:
-  /// scales `allocation` onto the current budget (floors = each host's
-  /// settable minimum) and programs the result. Returns the clamped
-  /// allocation actually applied. With a non-empty `job_classes` (one
-  /// per job) the squeeze is priority-ordered: best_effort sheds to its
-  /// floors before standard, latency_critical last.
-  PowerAllocation emergency_clamp(
-      std::span<sim::JobSimulation* const> jobs,
-      const PowerAllocation& allocation,
-      std::span<const sim::SlaClass> job_classes = {}) const;
-
   /// Accounts `elapsed_seconds` of running with `programmed_watts`
   /// total caps against the current budget, opening/extending an
   /// excursion when above budget + tolerance and closing it when back
@@ -121,8 +110,7 @@ class SystemPowerManager {
       std::span<sim::JobSimulation* const> jobs) const;
 
   /// Attaches the observability seam: registers the manager's metric
-  /// instruments ("rm.applies", "rm.emergency_clamps", budget
-  /// adopt/stale counters, the "rm.budget_watts" gauge and the
+  /// instruments ("rm.applies", budget adopt/stale counters, the "rm.budget_watts" gauge and the
   /// "rm.excursions" account) on the given registry. Inert when the
   /// seam carries no registry.
   void set_observer(const obs::Observability& obs);
@@ -134,7 +122,6 @@ class SystemPowerManager {
   /// Cached instruments (stable addresses owned by the registry); null
   /// when unobserved so the hot paths stay branch-plus-nothing.
   obs::Counter* applies_metric_ = nullptr;
-  obs::Counter* clamps_metric_ = nullptr;
   obs::Counter* budget_adopted_metric_ = nullptr;
   obs::Counter* budget_stale_metric_ = nullptr;
   obs::Counter* excursions_metric_ = nullptr;

@@ -123,36 +123,6 @@ TEST(ClampAllocationTest, ShapeMismatchMessagesNameTheAxis) {
                InvalidArgument);
 }
 
-TEST_F(DynamicPowerManagerTest, EmergencyClampProgramsClampedCaps) {
-  SystemPowerManager manager(800.0);
-  PowerAllocation allocation;
-  allocation.job_host_caps = {{190.0, 200.0}, {180.0, 210.0}};
-  manager.apply(jobs_, allocation);
-  // A brownout to just above the settable floors, so the proportional
-  // scale (not the floor fallback) decides the caps.
-  double floors = 0.0;
-  for (const auto* job : jobs_) {
-    for (std::size_t h = 0; h < job->host_count(); ++h) {
-      floors += job->host(h).min_cap();
-    }
-  }
-  const double brownout = floors + 40.0;
-  ASSERT_LT(brownout, allocation.total_watts());
-  ASSERT_TRUE(manager.set_budget(brownout, 1));
-  const PowerAllocation clamped = manager.emergency_clamp(jobs_, allocation);
-  EXPECT_NEAR(clamped.total_watts(), brownout, 1e-9);
-  // The programmed caps track the clamped allocation (RAPL quantization
-  // slack only).
-  EXPECT_NEAR(SystemPowerManager::total_allocated_watts(jobs_),
-              clamped.total_watts(), 0.5 * 4);
-  for (std::size_t j = 0; j < clamped.job_host_caps.size(); ++j) {
-    for (std::size_t h = 0; h < clamped.job_host_caps[j].size(); ++h) {
-      EXPECT_GE(clamped.job_host_caps[j][h],
-                jobs_[j]->host(h).min_cap() - 1e-9);
-    }
-  }
-}
-
 TEST_F(DynamicPowerManagerTest, ApplyToleranceBoundaryIsPerHost) {
   // 4 hosts -> 2 W of RAPL quantization slack. 780 W of caps on a 778.5 W
   // budget is 1.5 W over: accepted. On a 777.5 W budget it is 2.5 W over:

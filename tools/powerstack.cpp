@@ -289,6 +289,15 @@ kernel::WorkloadConfig resolve_workload(const std::string& name) {
   return kernel::parse_workload(name);
 }
 
+/// Dumps the metrics registry to stdout when --metrics asked for it.
+void print_metrics(const Args& args, const obs::MetricsRegistry& registry) {
+  if (args.metrics) {
+    std::ostringstream text;
+    registry.render_text(text);
+    std::fputs(text.str().c_str(), stdout);
+  }
+}
+
 int cmd_signals() {
   std::printf("signals:\n");
   for (const std::string& name : runtime::PlatformIO::signal_names()) {
@@ -639,11 +648,7 @@ int cmd_daemon(const Args& args) {
     std::printf("daemon: trace %s, %zu events\n", args.trace_path.c_str(),
                 sink.size());
   }
-  if (args.metrics) {
-    std::ostringstream text;
-    registry.render_text(text);
-    std::fputs(text.str().c_str(), stdout);
-  }
+  print_metrics(args, registry);
   return 0;
 }
 
@@ -705,11 +710,7 @@ int cmd_aggregator(const Args& args) {
       stats.sessions_accepted, stats.samples_received,
       stats.rounds_forwarded, stats.policies_fanned_out,
       stats.rack_budget_watts);
-  if (args.metrics) {
-    std::ostringstream text;
-    registry.render_text(text);
-    std::fputs(text.str().c_str(), stdout);
-  }
+  print_metrics(args, registry);
   return 0;
 }
 
@@ -791,11 +792,7 @@ int cmd_agent(const Args& args) {
               result.energy_joules > 0.0
                   ? result.total_gflop / result.energy_joules
                   : 0.0);
-  if (args.metrics) {
-    std::ostringstream text;
-    registry.render_text(text);
-    std::fputs(text.str().c_str(), stdout);
-  }
+  print_metrics(args, registry);
   return result.policies_applied > 0 ? 0 : 1;
 }
 
