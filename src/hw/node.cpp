@@ -166,8 +166,7 @@ const PhaseResult& NodeModel::compute_solution(double gigabytes,
     key.socket_caps[s] = packages_[s].power_limit();
   }
   key.frequency_cap_ghz = frequency_cap_ghz_;
-  if (!solve_cache_enabled_ || !compute_cache_valid_ ||
-      !(key == compute_key_)) {
+  if (!compute_cache_valid_ || !(key == compute_key_)) {
     compute_cached_ = solve_compute(
         gigabytes, intensity, width,
         std::span<const double>(key.socket_caps, packages_.size()));
@@ -197,7 +196,7 @@ PhaseResult NodeModel::run_poll(double seconds) {
     key.socket_caps[s] = packages_[s].power_limit();
   }
   key.frequency_cap_ghz = frequency_cap_ghz_;
-  if (!solve_cache_enabled_ || !poll_cache_valid_ || !(key == poll_key_)) {
+  if (!poll_cache_valid_ || !(key == poll_key_)) {
     poll_cached_ = PhaseResult{};
     poll_cached_.power_watts = poll_power(power_cap());
     double slowest = frequency_cap_ghz_;

@@ -103,15 +103,6 @@ class NodeModel {
   /// compute_solution() (it depends only on the limits).
   PhaseResult run_poll(double seconds);
 
-  /// Disables (or re-enables) the solve memoization; with the cache off
-  /// every call re-runs the fixed-point solver. Results are bit-identical
-  /// either way — the flag exists for the equivalence regression tests.
-  void set_solve_cache_enabled(bool enabled) noexcept {
-    solve_cache_enabled_ = enabled;
-    compute_cache_valid_ = false;
-    poll_cache_valid_ = false;
-  }
-
   /// DVFS control: an upper bound on the core frequency, independent of
   /// the RAPL limits (the OS cpufreq / P-state interface). The effective
   /// frequency is min(frequency under the power cap, this cap). Clamped
@@ -217,7 +208,6 @@ class NodeModel {
   /// Solve memoization (see compute_solution). Written only by the
   /// non-const run paths: shared, const-accessed clones (the sweep's
   /// per-cell cloning sources) never mutate it concurrently.
-  bool solve_cache_enabled_ = true;
   bool compute_cache_valid_ = false;
   SolveKey compute_key_;
   PhaseResult compute_cached_;

@@ -43,16 +43,17 @@ JobSimulation::JobSimulation(std::string name,
   PS_REQUIRE(noise.time_sigma >= 0.0, "noise sigma cannot be negative");
   failed_.assign(hosts_.size(), false);
   slowdown_.assign(hosts_.size(), 1.0);
-  waiting_hosts_ = std::min(
-      static_cast<std::size_t>(std::lround(
-          config_.waiting_fraction * static_cast<double>(hosts_.size()))),
-      hosts_.size() - 1);
+  waiting_hosts_ = derive_waiting_hosts();
 }
 
 void JobSimulation::set_workload(const kernel::WorkloadConfig& config) {
   config.validate();
   config_ = config;
-  waiting_hosts_ = std::min(
+  waiting_hosts_ = derive_waiting_hosts();
+}
+
+std::size_t JobSimulation::derive_waiting_hosts() const {
+  return std::min(
       static_cast<std::size_t>(std::lround(
           config_.waiting_fraction * static_cast<double>(hosts_.size()))),
       hosts_.size() - 1);
@@ -182,17 +183,8 @@ double JobSimulation::host_slowdown(std::size_t index) const {
 }
 
 IterationResult JobSimulation::run_iteration() {
-  // The SoA pass covers the common case (CPU-only job); GPU phases keep
-  // the scalar loop, whose concurrent-offload bookkeeping is inherently
-  // per-host. Both paths produce bit-identical results.
-  if (!scalar_iteration_ && !has_gpu_domain()) {
-    return run_iteration_soa();
-  }
-  return run_iteration_scalar();
-}
-
-IterationResult JobSimulation::run_iteration_soa() {
   const std::size_t count = hosts_.size();
+  const bool gpu_domain = has_gpu_domain();
   IterationResult result;
   result.hosts.resize(count);
   soa_seconds_.assign(count, 0.0);
@@ -220,9 +212,10 @@ IterationResult JobSimulation::run_iteration_soa() {
     soa_frequency_[i] = phase.frequency_ghz;
   }
 
-  // Pass 2 — busy times: slowdown then jitter over the seconds column.
-  // One RNG draw per live host, ascending — the draw order is part of
-  // the determinism contract shared with the scalar path.
+  // Pass 2 — busy times: slowdown then jitter over the seconds column,
+  // and the compute-phase energy at that busy time. One RNG draw per
+  // live host, ascending — the draw order is part of the determinism
+  // contract.
   for (std::size_t i = 0; i < count; ++i) {
     if (failed_[i]) {
       continue;
@@ -234,9 +227,46 @@ IterationResult JobSimulation::run_iteration_soa() {
       busy *= jitter;
     }
     soa_busy_[i] = busy;
+    result.hosts[i].energy_joules = soa_power_[i] * busy;
   }
 
-  // Pass 3 — critical path: strict-max reduction in host order (a dead
+  // Pass 3 — GPU phase (two-domain jobs only): the offload runs
+  // concurrently with the CPU phase. GPU work is uniform across hosts (no
+  // imbalance) and split across devices. A host whose kernels outlast its
+  // CPU phase busy-polls until they complete, which extends its busy
+  // column before the critical path is taken.
+  for (std::size_t i = 0; gpu_domain && i < count; ++i) {
+    if (failed_[i] || !host_has_gpu_phase(i)) {
+      continue;
+    }
+    auto& host_result = result.hosts[i];
+    hw::NodeModel& node = *hosts_[i];
+    const double share = config_.gpu_gigabytes_per_iteration /
+                         static_cast<double>(node.gpu_count());
+    double gpu_busy = 0.0;
+    double gpu_clock = 0.0;
+    for (std::size_t g = 0; g < node.gpu_count(); ++g) {
+      const hw::GpuPhaseResult gpu_phase = node.gpu(g).run_compute(
+          share, config_.gpu_intensity, config_.gpu_occupancy);
+      gpu_busy = std::max(gpu_busy, gpu_phase.seconds);
+      gpu_clock = gpu_clock == 0.0
+                      ? gpu_phase.clock_ghz
+                      : std::min(gpu_clock, gpu_phase.clock_ghz);
+      host_result.gpu_energy_joules += gpu_phase.energy_joules;
+      host_result.gpu_gflop += gpu_phase.gflops * gpu_phase.seconds;
+    }
+    host_result.gpu_busy_seconds = gpu_busy;
+    host_result.gpu_clock_ghz = gpu_clock;
+    if (gpu_busy > soa_busy_[i]) {
+      const hw::PhaseResult wait = node.run_poll(gpu_busy - soa_busy_[i]);
+      host_result.energy_joules += wait.energy_joules;
+      soa_busy_[i] = gpu_busy;
+    }
+    host_result.energy_joules += host_result.gpu_energy_joules;
+    soa_gflop_[i] += host_result.gpu_gflop;
+  }
+
+  // Pass 4 — critical path: strict-max reduction in host order (a dead
   // host's zero can never win; at least one host is alive).
   for (std::size_t i = 0; i < count; ++i) {
     if (soa_busy_[i] > result.iteration_seconds) {
@@ -245,7 +275,8 @@ IterationResult JobSimulation::run_iteration_soa() {
     }
   }
 
-  // Pass 4 — energy, barrier poll, and totals over the columns.
+  // Pass 5 — barrier poll, the GPU idle tail, and totals over the
+  // columns.
   for (std::size_t i = 0; i < count; ++i) {
     if (failed_[i]) {
       continue;
@@ -253,7 +284,6 @@ IterationResult JobSimulation::run_iteration_soa() {
     auto& host_result = result.hosts[i];
     const double busy = soa_busy_[i];
     host_result.busy_seconds = busy;
-    host_result.energy_joules = soa_power_[i] * busy;
     host_result.gflop = soa_gflop_[i];
     host_result.frequency_ghz = soa_frequency_[i];
     host_result.poll_seconds = result.iteration_seconds - busy;
@@ -262,105 +292,7 @@ IterationResult JobSimulation::run_iteration_soa() {
           hosts_[i]->run_poll(host_result.poll_seconds);
       host_result.energy_joules += poll.energy_joules;
     }
-    host_result.average_power_watts =
-        result.iteration_seconds > 0.0
-            ? host_result.energy_joules / result.iteration_seconds
-            : 0.0;
-    result.total_energy_joules += host_result.energy_joules;
-    result.total_gflop += host_result.gflop;
-  }
-  if (result.iteration_seconds > 0.0) {
-    result.average_node_power_watts =
-        result.total_energy_joules / result.iteration_seconds /
-        static_cast<double>(hosts_.size());
-  }
-
-  totals_.iterations += 1;
-  totals_.elapsed_seconds += result.iteration_seconds;
-  totals_.energy_joules += result.total_energy_joules;
-  totals_.gflop += result.total_gflop;
-  return result;
-}
-
-IterationResult JobSimulation::run_iteration_scalar() {
-  IterationResult result;
-  result.hosts.resize(hosts_.size());
-
-  // Phase 1: every host runs its share of the compute phase.
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    if (failed_[i]) {
-      // A dead host: no work, no energy, no say in the critical path.
-      result.hosts[i].node = hosts_[i]->id();
-      result.hosts[i].waiting_host = is_waiting_host(i);
-      continue;
-    }
-    hw::PhaseResult phase = hosts_[i]->run_compute(
-        host_gigabytes(i), config_.intensity, config_.vector_width);
-    double busy = phase.seconds * slowdown_[i];
-    if (noise_.time_sigma > 0.0) {
-      // Log-ish multiplicative jitter, clamped so time stays positive.
-      const double jitter =
-          std::max(1.0 + noise_rng_.normal(0.0, noise_.time_sigma), 0.5);
-      busy *= jitter;
-    }
-    auto& host_result = result.hosts[i];
-    host_result.node = hosts_[i]->id();
-    host_result.waiting_host = is_waiting_host(i);
-    host_result.busy_seconds = busy;
-    host_result.energy_joules = phase.power_watts * busy;
-    host_result.gflop = phase.gflops * phase.seconds;
-    host_result.frequency_ghz = phase.frequency_ghz;
-    if (host_has_gpu_phase(i)) {
-      // The offloaded phase runs concurrently with the CPU phase. GPU work
-      // is uniform across hosts (no imbalance) and split across devices.
-      hw::NodeModel& node = *hosts_[i];
-      const double devices = static_cast<double>(node.gpu_count());
-      const double share = config_.gpu_gigabytes_per_iteration / devices;
-      double gpu_busy = 0.0;
-      double gpu_clock = 0.0;
-      for (std::size_t g = 0; g < node.gpu_count(); ++g) {
-        const hw::GpuPhaseResult gpu_phase = node.gpu(g).run_compute(
-            share, config_.gpu_intensity, config_.gpu_occupancy);
-        gpu_busy = std::max(gpu_busy, gpu_phase.seconds);
-        gpu_clock = gpu_clock == 0.0 ? gpu_phase.clock_ghz
-                                     : std::min(gpu_clock,
-                                                gpu_phase.clock_ghz);
-        host_result.gpu_energy_joules += gpu_phase.energy_joules;
-        host_result.gpu_gflop += gpu_phase.gflops * gpu_phase.seconds;
-      }
-      host_result.gpu_busy_seconds = gpu_busy;
-      host_result.gpu_clock_ghz = gpu_clock;
-      if (gpu_busy > busy) {
-        // The CPU waits on the offload: it busy-polls until the device
-        // side of the iteration completes.
-        const hw::PhaseResult wait = hosts_[i]->run_poll(gpu_busy - busy);
-        host_result.energy_joules += wait.energy_joules;
-        busy = gpu_busy;
-        host_result.busy_seconds = busy;
-      }
-      host_result.energy_joules += host_result.gpu_energy_joules;
-      host_result.gflop += host_result.gpu_gflop;
-    }
-    if (busy > result.iteration_seconds) {
-      result.iteration_seconds = busy;
-      result.critical_host_index = i;
-    }
-  }
-
-  // Phase 2: hosts that finished early busy-poll at the barrier.
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    auto& host_result = result.hosts[i];
-    if (failed_[i]) {
-      continue;  // a dead host does not poll (and draws nothing)
-    }
-    host_result.poll_seconds =
-        result.iteration_seconds - host_result.busy_seconds;
-    if (host_result.poll_seconds > 0.0) {
-      const hw::PhaseResult poll =
-          hosts_[i]->run_poll(host_result.poll_seconds);
-      host_result.energy_joules += poll.energy_joules;
-    }
-    if (host_has_gpu_phase(i)) {
+    if (gpu_domain && host_has_gpu_phase(i)) {
       // Devices sit at their leakage floor from kernel completion until
       // the barrier releases (the CPU tail plus any barrier poll).
       const double gpu_idle =

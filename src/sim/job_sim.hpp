@@ -133,23 +133,13 @@ class JobSimulation {
   /// Runs one bulk-synchronous iteration, accruing telemetry and RAPL
   /// energy on every host.
   ///
-  /// CPU-only jobs take a structure-of-arrays pass: one memoized solve
+  /// One structure-of-arrays pass for every job: one memoized solve
   /// lookup per host refreshes per-host columns (seconds, power, GFLOP,
-  /// frequency), then busy-time jitter, the critical-path reduction, and
-  /// the energy/poll accounting each sweep the columns in host order.
-  /// Jobs with a GPU phase (and callers that opt out via
-  /// set_scalar_iteration) run the original per-host scalar loop. Both
-  /// paths are bit-identical by construction and regression-tested.
+  /// frequency), then busy-time jitter, the GPU phase (two-domain jobs
+  /// only: device kernels, and the CPU busy-polling until they finish),
+  /// the critical-path reduction, and the barrier-poll/energy accounting
+  /// each sweep the columns in host order.
   IterationResult run_iteration();
-
-  /// Forces the scalar (pre-SoA) iteration path. Purely a debugging and
-  /// equivalence-testing knob — results do not change.
-  void set_scalar_iteration(bool scalar) noexcept {
-    scalar_iteration_ = scalar;
-  }
-  [[nodiscard]] bool scalar_iteration() const noexcept {
-    return scalar_iteration_;
-  }
 
   [[nodiscard]] const JobTotals& totals() const noexcept { return totals_; }
   void reset_totals() noexcept { totals_ = {}; }
@@ -162,10 +152,9 @@ class JobSimulation {
   void set_sla_class(SlaClass sla_class) noexcept { sla_class_ = sla_class; }
 
  private:
-  /// The original per-host loop (also handles GPU phases).
-  IterationResult run_iteration_scalar();
-  /// The structure-of-arrays pass over the soa_* columns (CPU-only).
-  IterationResult run_iteration_soa();
+  /// round(waiting_fraction * size) of the current workload, leaving at
+  /// least one critical host.
+  [[nodiscard]] std::size_t derive_waiting_hosts() const;
 
   std::string name_;
   std::vector<hw::NodeModel*> hosts_;
@@ -176,7 +165,6 @@ class JobSimulation {
   JobTotals totals_;
   std::vector<bool> failed_;
   std::vector<double> slowdown_;
-  bool scalar_iteration_ = false;
   SlaClass sla_class_ = SlaClass::kStandard;
 
   /// Structure-of-arrays columns, one entry per host, refreshed every

@@ -176,22 +176,30 @@ void expect_same_phase(const PhaseResult& a, const PhaseResult& b) {
 }
 
 TEST(NodeSolveCacheTest, CachedAndUncachedRunsAreBitIdentical) {
-  // Twin nodes, one with the solve memo disabled: any divergence means
-  // the cache served a stale or differently-rounded solution.
+  // Every step is checked against a cold model: a freshly built node with
+  // the same cap has an empty memo, so its first solve is the solver's
+  // own output. Any divergence means the cache served a stale or
+  // differently-rounded solution. `ledger` accrues the cold solutions so
+  // the energy counters can be compared too.
   NodeModel cached = make_node();
-  NodeModel uncached = make_node();
-  uncached.set_solve_cache_enabled(false);
+  NodeModel ledger = make_node();
   const double caps[] = {240.0, 190.0, 190.0, 150.0, 240.0, 190.0};
   for (const double cap : caps) {
     cached.set_power_cap(cap);
-    uncached.set_power_cap(cap);
     for (int repeat = 0; repeat < 3; ++repeat) {
+      NodeModel cold = make_node();
+      cold.set_power_cap(cap);
+      const PhaseResult compute =
+          cold.run_compute(1.0, 8.0, VectorWidth::kYmm256);
       expect_same_phase(cached.run_compute(1.0, 8.0, VectorWidth::kYmm256),
-                        uncached.run_compute(1.0, 8.0, VectorWidth::kYmm256));
-      expect_same_phase(cached.run_poll(0.25), uncached.run_poll(0.25));
+                        compute);
+      ledger.accrue_phase(compute);
+      const PhaseResult poll = cold.run_poll(0.25);
+      expect_same_phase(cached.run_poll(0.25), poll);
+      ledger.accrue_phase(poll);
     }
   }
-  EXPECT_EQ(cached.read_energy_joules(), uncached.read_energy_joules());
+  EXPECT_EQ(cached.read_energy_joules(), ledger.read_energy_joules());
 }
 
 TEST(NodeSolveCacheTest, CacheMissesOnPhaseShapeChange) {
@@ -249,18 +257,21 @@ TEST(NodeSolveCacheTest, RunComputeEqualsSolutionPlusAccrue) {
 }
 
 TEST(NodeSolveCacheTest, PollMemoScalesEnergyPerCall) {
+  // One memoized poll solution serves every duration; each call must
+  // equal a cold model's first poll of that duration.
   NodeModel cached = make_node();
-  NodeModel uncached = make_node();
-  uncached.set_solve_cache_enabled(false);
+  NodeModel ledger = make_node();
   cached.set_power_cap(170.0);
-  uncached.set_power_cap(170.0);
   for (const double seconds : {0.5, 0.125, 0.0, 2.0}) {
+    NodeModel cold = make_node();
+    cold.set_power_cap(170.0);
     const PhaseResult a = cached.run_poll(seconds);
-    const PhaseResult b = uncached.run_poll(seconds);
+    const PhaseResult b = cold.run_poll(seconds);
     expect_same_phase(a, b);
     EXPECT_EQ(a.energy_joules, a.power_watts * seconds);
+    ledger.accrue_phase(b);
   }
-  EXPECT_EQ(cached.read_energy_joules(), uncached.read_energy_joules());
+  EXPECT_EQ(cached.read_energy_joules(), ledger.read_energy_joules());
 }
 
 TEST(NodeTest, FixedPointSolutionIsSelfConsistent) {

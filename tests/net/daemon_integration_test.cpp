@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,6 +307,119 @@ TEST(DaemonIntegrationTest, ServesOverTcp) {
   EXPECT_EQ(result.policies_applied, 1 + result.epochs);
   EXPECT_EQ(result.fallback_epochs, 0u);
   EXPECT_GT(daemon.stats().policies_sent, 0u);
+}
+
+/// Floors the budget cannot hold: two clients, two hosts each, report a
+/// 200 W floor under a 600 W budget (Σ floors 800 W). Every round after
+/// the seed breaks the binding budget, and the daemon must take the
+/// keep-or-clamp branch: keep the caps in force while they fit (and send
+/// nothing), else clamp every job onto its floors.
+TEST(DaemonIntegrationTest, FloorsAboveTheBudgetKeepThenClamp) {
+  const std::string path = unique_socket_path("floors");
+  DaemonOptions options;
+  options.system_budget_watts = 600.0;
+  options.min_jobs = 2;
+  options.tick_interval = milliseconds(20);
+  // Adopted before the round that consumes sample sequence 2.
+  options.budget_revisions = {
+      {.epoch = 1, .budget_watts = 500.0, .at_epoch = 1}};
+  PowerDaemon daemon(options);
+  daemon.listen_unix(path);
+  std::thread serving([&daemon] { daemon.run(); });
+
+  ClientOptions client_options;
+  client_options.request_timeout = milliseconds(1'000);
+  const std::vector<std::string> names = {"a-floor", "b-floor"};
+  std::vector<std::unique_ptr<RuntimeClient>> clients;
+  for (std::size_t j = 0; j < names.size(); ++j) {
+    clients.push_back(std::make_unique<RuntimeClient>(
+        [&path] { return connect_unix(path); }, client_options));
+  }
+  // One round: both clients exchange sample `sequence` concurrently (the
+  // daemon allocates once every job holds a fresh sample).
+  const auto exchange_round = [&](std::uint64_t sequence) {
+    std::vector<std::optional<core::PolicyMessage>> replies(names.size());
+    std::vector<std::thread> threads;
+    for (std::size_t j = 0; j < names.size(); ++j) {
+      threads.emplace_back([&, j] {
+        core::SampleMessage sample;
+        sample.sequence = sequence;
+        sample.job_name = names[j];
+        sample.min_settable_cap_watts = 200.0;
+        sample.host_observed_watts = {230.0, 230.0};
+        sample.host_needed_watts = {220.0, 220.0};
+        replies[j] = clients[j]->exchange(sample);
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    return replies;
+  };
+  // The verdict counters, read once the round has run (a kept round
+  // sends no reply to wait on).
+  const auto stats_after = [&daemon](std::size_t violations) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(10);
+    DaemonStats stats = daemon.stats();
+    while (stats.budget_violations < violations &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(milliseconds(5));
+      stats = daemon.stats();
+    }
+    return stats;
+  };
+  const std::vector<double> seed_share = {150.0, 150.0};
+  const std::vector<double> floors = {200.0, 200.0};
+
+  // Round 0, the seed: the uniform share, below the floors, goes out
+  // unchanged; a seed is never a violation. A missing reply reads as
+  // empty caps (no ASSERT may return while the daemon thread runs).
+  auto replies = exchange_round(0);
+  for (const auto& reply : replies) {
+    EXPECT_EQ(reply.value_or(core::PolicyMessage{}).host_caps_watts,
+              seed_share);
+  }
+  DaemonStats stats = stats_after(0);
+  EXPECT_EQ(stats.budget_violations, 0u);
+  EXPECT_EQ(stats.emergency_clamps, 0u);
+
+  // Round 1: the policy's candidate (≥ Σ floors) breaks the budget; the
+  // seed caps in force (600 W) still fit, so the daemon keeps them and
+  // sends nothing.
+  replies = exchange_round(1);
+  for (const auto& reply : replies) {
+    EXPECT_FALSE(reply.has_value());
+  }
+  stats = stats_after(1);
+  EXPECT_EQ(stats.budget_violations, 1u);
+  EXPECT_EQ(stats.emergency_clamps, 0u);
+
+  // Round 2 first adopts the 500 W revision, and adoption clamps the
+  // stored seed caps (600 W no longer fit): one emergency clamp before
+  // the round runs. The clamp lifts them to the floors, since Σ floors is
+  // its ceiling when the floors cannot fit. In rounds 2 and 3 neither the
+  // candidate nor the caps in force (800 W) fit, so each round clamps
+  // and programs every host at its floor.
+  for (std::uint64_t sequence = 2; sequence <= 3; ++sequence) {
+    replies = exchange_round(sequence);
+    for (const auto& reply : replies) {
+      const core::PolicyMessage caps = reply.value_or(core::PolicyMessage{});
+      EXPECT_EQ(caps.host_caps_watts, floors);
+      EXPECT_EQ(caps.budget_epoch, 1u);
+    }
+    stats = stats_after(sequence);
+    EXPECT_EQ(stats.budget_violations, sequence);
+    // The adoption's clamp plus one per round from 2 on.
+    EXPECT_EQ(stats.emergency_clamps, sequence);
+  }
+  EXPECT_EQ(stats.budget_revisions_applied, 1u);
+  EXPECT_DOUBLE_EQ(stats.budget_watts, 500.0);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+
+  daemon.stop();
+  serving.join();
+  std::remove(path.c_str());
 }
 
 }  // namespace

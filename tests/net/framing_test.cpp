@@ -164,10 +164,13 @@ TEST(FramingTest, GarbageAfterValidFrameIsDetected) {
   FrameDecoder decoder;
   decoder.feed(encode_frame("good"));
   EXPECT_EQ(decoder.next(), "good");
-  decoder.feed(std::string_view("\x00\x00\x00\x04"
-                                "\x12\x34\x56\x78"
-                                "oops",
-                                16));
+  // 8 header bytes + "oops": 12 bytes. sizeof counts the embedded NULs;
+  // the - 1 drops the literal's terminator.
+  static constexpr char kGarbage[] =
+      "\x00\x00\x00\x04"
+      "\x12\x34\x56\x78"
+      "oops";
+  decoder.feed(std::string_view(kGarbage, sizeof(kGarbage) - 1));
   EXPECT_THROW(static_cast<void>(decoder.next()), ps::Error);
 }
 

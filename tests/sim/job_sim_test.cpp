@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "iteration_bits.hpp"
 #include "sim/cluster.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -166,87 +167,79 @@ TEST(JobSimTest, GflopCountsOnlyUsefulWork) {
 }
 
 
-/// Bit-identical equality between two iteration results — the SoA pass
-/// must reproduce the scalar loop exactly, so EXPECT_EQ on doubles is
-/// deliberate.
-void expect_same_iteration(const IterationResult& a,
-                           const IterationResult& b) {
-  EXPECT_EQ(a.iteration_seconds, b.iteration_seconds);
-  EXPECT_EQ(a.total_energy_joules, b.total_energy_joules);
-  EXPECT_EQ(a.total_gflop, b.total_gflop);
-  EXPECT_EQ(a.average_node_power_watts, b.average_node_power_watts);
-  EXPECT_EQ(a.critical_host_index, b.critical_host_index);
-  ASSERT_EQ(a.hosts.size(), b.hosts.size());
-  for (std::size_t i = 0; i < a.hosts.size(); ++i) {
-    EXPECT_EQ(a.hosts[i].node, b.hosts[i].node);
-    EXPECT_EQ(a.hosts[i].waiting_host, b.hosts[i].waiting_host);
-    EXPECT_EQ(a.hosts[i].busy_seconds, b.hosts[i].busy_seconds);
-    EXPECT_EQ(a.hosts[i].poll_seconds, b.hosts[i].poll_seconds);
-    EXPECT_EQ(a.hosts[i].energy_joules, b.hosts[i].energy_joules);
-    EXPECT_EQ(a.hosts[i].gflop, b.hosts[i].gflop);
-    EXPECT_EQ(a.hosts[i].frequency_ghz, b.hosts[i].frequency_ghz);
-    EXPECT_EQ(a.hosts[i].average_power_watts,
-              b.hosts[i].average_power_watts);
-  }
-}
+// Pinned-value regressions. The bits were captured from the per-host
+// reference loop the iteration pass replaced, on nodes whose solve memo
+// was bypassed (every solve cold), so they are the simulator's
+// unoptimized answer: the single pass and its memoized solves must
+// reproduce it exactly.
 
 TEST(JobSimSoaTest, SoaAndScalarPathsAreBitIdentical) {
-  // Two identical worlds, one forced onto the scalar path, driven
-  // through cap changes, noise, a straggler, and a failed host.
-  Cluster soa_cluster(8);
-  Cluster scalar_cluster(8);
+  // Cap changes, noise, a straggler, and a failed host.
+  static constexpr PinnedIteration kPinned[] = {
+    {0x3f94dd331874a765ULL, 0x40423e7df67b1591ULL,
+     0x4062000000000000ULL, 0x406bfb4f79222c0cULL, 6, 0xb3a29cc56d0be535ULL},
+    {0x3f948883013749faULL, 0x4041f6048f4e2570ULL,
+     0x4062000000000000ULL, 0x406bfdc57ffbd9beULL, 4, 0xb346220e2b322a51ULL},
+    {0x3f94a920e18f66dbULL, 0x4042113eb06e9bf6ULL,
+     0x4062000000000000ULL, 0x406bfbc096e8ca6eULL, 7, 0x18c3c7264ae41a46ULL},
+    {0x3f94d2ab5f6ae889ULL, 0x404234673ff91022ULL,
+     0x4062000000000000ULL, 0x406bf9f4ef253ef4ULL, 7, 0xb62cc2421b02a6a9ULL},
+    {0x3f966130fcf12b97ULL, 0x403d545fb37e10a0ULL,
+     0x4062000000000000ULL, 0x4064f80000000000ULL, 4, 0x3a93816179ca9783ULL},
+    {0x3f96b2365035cf8aULL, 0x403dbe8e2e1e857dULL,
+     0x4062000000000000ULL, 0x4064f80000000000ULL, 4, 0xf83b4cd1960cdc69ULL},
+    {0x3f96dc3cd35485acULL, 0x403a0d7e51d79356ULL,
+     0x405e000000000000ULL, 0x40623bffffffffffULL, 4, 0x6bd600cf5a9d3cbcULL},
+    {0x3f966e1f5e86c6d7ULL, 0x403990003ffa191bULL,
+     0x405e000000000000ULL, 0x40623c0000000000ULL, 4, 0xcd87cdf0ac45d2faULL},
+    {0x3f9683048e107d21ULL, 0x4039a7d070e74a9aULL,
+     0x405e000000000000ULL, 0x40623c0000000000ULL, 4, 0x84c244b0fcdad2a3ULL},
+    {0x3f96c8f7c1439965ULL, 0x4039f7885a80ca12ULL,
+     0x405e000000000000ULL, 0x40623c0000000001ULL, 4, 0x3744bf700a7efb95ULL},
+  };
+  static constexpr PinnedTotals kTotals = {0x3fcb5168451f93deULL, 0x4073344162b38257ULL, 0x4095000000000000ULL};
+  Cluster cluster(8);
   kernel::WorkloadConfig config = imbalanced_config();
   config.gigabytes_per_iteration = 1.5;
-  const NoiseParams noise{0.01};
-  JobSimulation soa("j", hosts_of(soa_cluster, 8), config, noise,
+  JobSimulation job("j", hosts_of(cluster, 8), config, NoiseParams{0.01},
                     util::Rng(7));
-  JobSimulation scalar("j", hosts_of(scalar_cluster, 8), config, noise,
-                       util::Rng(7));
-  scalar.set_scalar_iteration(true);
-  EXPECT_FALSE(soa.scalar_iteration());
-  EXPECT_TRUE(scalar.scalar_iteration());
-
-  const auto step_both = [&] {
-    expect_same_iteration(soa.run_iteration(), scalar.run_iteration());
-  };
-  for (int i = 0; i < 4; ++i) {
-    step_both();
-  }
+  PinnedScript script(job, kPinned);
+  script.run(4);
   for (std::size_t h = 0; h < 8; ++h) {
-    soa.set_host_cap(h, 150.0 + 5.0 * static_cast<double>(h));
-    scalar.set_host_cap(h, 150.0 + 5.0 * static_cast<double>(h));
+    job.set_host_cap(h, 150.0 + 5.0 * static_cast<double>(h));
   }
-  step_both();
-  soa.set_host_slowdown(2, 1.5);
-  scalar.set_host_slowdown(2, 1.5);
-  step_both();
-  soa.set_host_failed(5, true);
-  scalar.set_host_failed(5, true);
-  for (int i = 0; i < 4; ++i) {
-    step_both();
-  }
-  EXPECT_EQ(soa.totals().elapsed_seconds, scalar.totals().elapsed_seconds);
-  EXPECT_EQ(soa.totals().energy_joules, scalar.totals().energy_joules);
-  EXPECT_EQ(soa.totals().gflop, scalar.totals().gflop);
+  script.run();
+  job.set_host_slowdown(2, 1.5);
+  script.run();
+  job.set_host_failed(5, true);
+  script.run(4);
+  script.finish(kTotals);
 }
 
 TEST(JobSimSoaTest, SoaMatchesScalarWithSolveCacheDisabled) {
-  // Three-way agreement: SoA + memoized solves == scalar + cold solves.
-  Cluster fast_cluster(6);
-  Cluster slow_cluster(6);
-  kernel::WorkloadConfig config = imbalanced_config();
-  const NoiseParams noise{0.004};
-  JobSimulation fast("j", hosts_of(fast_cluster, 6), config, noise,
-                     util::Rng(11));
-  JobSimulation slow("j", hosts_of(slow_cluster, 6), config, noise,
-                     util::Rng(11));
-  slow.set_scalar_iteration(true);
-  for (std::size_t h = 0; h < 6; ++h) {
-    slow_cluster.node(h).set_solve_cache_enabled(false);
-  }
-  for (int i = 0; i < 6; ++i) {
-    expect_same_iteration(fast.run_iteration(), slow.run_iteration());
-  }
+  // Steady limits: after the first iteration every solve is a memo hit,
+  // and each must still equal the cold-solve bits.
+  static constexpr PinnedIteration kPinned[] = {
+    {0x3f9b88aa051a7245ULL, 0x40420fec4ed6317fULL,
+     0x4062000000000000ULL, 0x406bfd44b6493fcbULL, 5, 0xdc704341940463edULL},
+    {0x3f9b86354e82991aULL, 0x40420e64efbe422fULL,
+     0x4062000000000000ULL, 0x406bfd655d6e9c54ULL, 5, 0xa720fdb0dbf5dd0dULL},
+    {0x3f9b8f059a8e0f21ULL, 0x4042141ad2619092ULL,
+     0x4062000000000000ULL, 0x406bfd4913948484ULL, 4, 0xa15a01c5e0b9e081ULL},
+    {0x3f9b79a51b3569d9ULL, 0x4042062ec60b87bfULL,
+     0x4062000000000000ULL, 0x406bfd7153482dd8ULL, 4, 0x942820a9ff7cd1d3ULL},
+    {0x3f9b8c5e49202bd9ULL, 0x4042121b50f87297ULL,
+     0x4062000000000000ULL, 0x406bfce30df77c9bULL, 3, 0x52ab246b8f232db2ULL},
+    {0x3f9b81dc63d2bfa3ULL, 0x40420bb485fc76fdULL,
+     0x4062000000000000ULL, 0x406bfda601232e80ULL, 4, 0x7500e87dcbec3b3cULL},
+  };
+  static constexpr PinnedTotals kTotals = {0x3fc4a4b896ca6dfaULL, 0x406b159aab7d9d65ULL, 0x408b000000000000ULL};
+  Cluster cluster(6);
+  JobSimulation job("j", hosts_of(cluster, 6), imbalanced_config(),
+                    NoiseParams{0.004}, util::Rng(11));
+  PinnedScript script(job, kPinned);
+  script.run(6);
+  script.finish(kTotals);
 }
 
 TEST(JobSimTest, InvalidConstructionRejected) {
