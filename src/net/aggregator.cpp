@@ -1,31 +1,31 @@
 #include "net/aggregator.hpp"
 
-#include <poll.h>
-
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "util/error.hpp"
 
 namespace ps::net {
 
-namespace {
-
-/// Same bucket edges as the root daemon's round histogram, so per-level
-/// latency distributions compare bucket-for-bucket across the tree.
-constexpr double kRoundLatencyBounds[] = {0.0005, 0.001, 0.002, 0.005,
-                                          0.01,   0.02,  0.05,  0.1,
-                                          0.25,   0.5,   1.0,   2.5,
-                                          5.0};
-
-}  // namespace
-
 AggregatorDaemon::AggregatorDaemon(const AggregatorOptions& options)
     : options_(options),
       loop_(options.event_backend),
-      sessions_(loop_, [this](int fd) {
-        close_session(fd, /*protocol_error=*/false);
-      }) {
+      sessions_(loop_,
+                {.on_open = [this](int) { on_session_opened(); },
+                 .on_frame =
+                     [this](int fd, NetSession& session,
+                            const std::string& payload) {
+                       if (session.upstream) {
+                         handle_parent_frame(payload);
+                       } else {
+                         handle_client_frame(fd, session, payload);
+                       }
+                     },
+                 .on_close =
+                     std::bind_front(&AggregatorDaemon::close_session, this),
+                 .on_drained = [this] { try_forward(); }},
+                options.transport_wrapper) {
   PS_REQUIRE(!options.rack.empty() &&
                  options.rack.find_first_of(" \n") == std::string::npos,
              "rack name must be one non-empty token");
@@ -46,39 +46,27 @@ AggregatorDaemon::AggregatorDaemon(const AggregatorOptions& options)
 AggregatorDaemon::~AggregatorDaemon() = default;
 
 void AggregatorDaemon::listen_unix(const std::string& path) {
-  listeners_.push_back(net::listen_unix(path));
-  const std::size_t index = listeners_.size() - 1;
-  loop_.add_fd(listeners_.back().fd(), POLLIN,
-               [this, index](short) { on_listener_ready(index); });
+  sessions_.listen_unix(path);
 }
 
 void AggregatorDaemon::listen_tcp(std::uint16_t port) {
-  listeners_.push_back(net::listen_tcp(port, &tcp_port_));
-  const std::size_t index = listeners_.size() - 1;
-  loop_.add_fd(listeners_.back().fd(), POLLIN,
-               [this, index](short) { on_listener_ready(index); });
+  sessions_.listen_tcp(port);
 }
 
 void AggregatorDaemon::adopt(Socket socket) {
   PS_REQUIRE(socket.valid(), "cannot adopt an invalid socket");
-  adopt(make_transport(std::move(socket)));
+  sessions_.adopt(make_transport(std::move(socket)));
 }
 
 void AggregatorDaemon::adopt(std::unique_ptr<Transport> transport) {
-  PS_REQUIRE(transport != nullptr && transport->valid(),
-             "cannot adopt an invalid transport");
-  {
-    const std::lock_guard<std::mutex> lock(shared_mutex_);
-    pending_adoptions_.push_back(std::move(transport));
-  }
-  loop_.wake();
+  sessions_.adopt(std::move(transport));
 }
 
 void AggregatorDaemon::run() {
-  adopt_pending_transports();
+  sessions_.admit_adopted();
   ensure_parent(/*resend_outstanding=*/false);
   while (loop_.run_once(std::chrono::milliseconds(-1))) {
-    adopt_pending_transports();
+    sessions_.admit_adopted();
   }
 }
 
@@ -91,26 +79,7 @@ AggregatorStats AggregatorDaemon::stats() const {
   return stats_;
 }
 
-void AggregatorDaemon::adopt_pending_transports() {
-  std::vector<std::unique_ptr<Transport>> adopted;
-  {
-    const std::lock_guard<std::mutex> lock(shared_mutex_);
-    adopted.swap(pending_adoptions_);
-  }
-  for (std::unique_ptr<Transport>& transport : adopted) {
-    add_session(std::move(transport));
-  }
-}
-
-void AggregatorDaemon::add_session(std::unique_ptr<Transport> transport) {
-  if (options_.transport_wrapper) {
-    transport = options_.transport_wrapper(std::move(transport));
-    PS_REQUIRE(transport != nullptr && transport->valid(),
-               "transport wrapper returned an invalid transport");
-  }
-  sessions_.add(std::move(transport), [this](int fd, short revents) {
-    on_session_ready(fd, revents);
-  });
+void AggregatorDaemon::on_session_opened() {
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
     ++stats_.sessions_accepted;
@@ -118,30 +87,25 @@ void AggregatorDaemon::add_session(std::unique_ptr<Transport> transport) {
   options_.obs.count("net.aggregator.sessions_accepted");
 }
 
-void AggregatorDaemon::on_listener_ready(std::size_t listener_index) {
-  while (auto socket = listeners_[listener_index].accept()) {
-    add_session(make_transport(std::move(*socket)));
+void AggregatorDaemon::close_session(int fd, NetSession& session,
+                                     CloseCause cause) {
+  if (session.upstream) {
+    drop_parent(cause);
+    return;
   }
-}
-
-void AggregatorDaemon::close_session(int fd, bool protocol_error) {
-  NetSession* session = sessions_.find(fd);
-  if (session == nullptr) {
-    return;  // idempotent: double-close no-ops
-  }
-  const bool registered = session->registered;
-  const std::string job_name = session->job_name;
-  const std::unique_ptr<Transport> transport = sessions_.remove(fd);
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
     ++stats_.sessions_closed;
-    if (protocol_error) {
+    if (cause == CloseCause::kProtocolError) {
       ++stats_.protocol_errors;
+    }
+    if (cause == CloseCause::kIdle) {
+      ++stats_.sessions_timed_out;
     }
   }
   options_.obs.count("net.aggregator.sessions_closed");
-  if (registered) {
-    const auto it = jobs_.find(job_name);
+  if (session.registered) {
+    const auto it = jobs_.find(session.job_name);
     // fd guard: a late close on a replaced connection must not detach
     // the job's live session.
     if (it != jobs_.end() && it->second.session_fd == fd) {
@@ -149,7 +113,6 @@ void AggregatorDaemon::close_session(int fd, bool protocol_error) {
       it->second.disconnected_at = Clock::now();
     }
   }
-  transport->close();
 }
 
 void AggregatorDaemon::evict_job(const std::string& name) {
@@ -157,19 +120,11 @@ void AggregatorDaemon::evict_job(const std::string& name) {
   if (it == jobs_.end()) {
     return;
   }
-  const int fd = it->second.session_fd;
+  const bool closed = sessions_.remove(it->second.session_fd);
   jobs_.erase(it);
-  if (fd >= 0) {
-    NetSession* session = sessions_.find(fd);
-    if (session != nullptr) {
-      const std::unique_ptr<Transport> transport = sessions_.remove(fd);
-      transport->close();
-      const std::lock_guard<std::mutex> lock(shared_mutex_);
-      ++stats_.sessions_closed;
-    }
-  }
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
+    stats_.sessions_closed += closed ? 1 : 0;
     ++stats_.jobs_evicted;
     stats_.jobs = jobs_.size();
   }
@@ -177,52 +132,6 @@ void AggregatorDaemon::evict_job(const std::string& name) {
   // The watts the job held are NOT reclaimed here: the aggregator owns
   // no budget. The root's own grace/eviction machinery reclaims the seat
   // when the job stops appearing in this rack's aggregates.
-}
-
-void AggregatorDaemon::on_session_ready(int fd, short revents) {
-  NetSession* session = sessions_.find(fd);
-  if (session == nullptr) {
-    return;
-  }
-  session->last_activity = Clock::now();
-
-  if ((revents & POLLOUT) != 0) {
-    sessions_.flush(fd, *session);
-    session = sessions_.find(fd);
-    if (session == nullptr) {
-      return;
-    }
-  }
-  if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-    return;
-  }
-
-  char buffer[4096];
-  for (;;) {
-    const IoResult result =
-        session->transport->read_some(buffer, sizeof(buffer));
-    if (result.status == IoStatus::kWouldBlock) {
-      break;
-    }
-    if (result.status == IoStatus::kClosed) {
-      close_session(fd, /*protocol_error=*/false);
-      return;
-    }
-    try {
-      session->decoder.feed(std::string_view(buffer, result.bytes));
-      while (auto payload = session->decoder.next()) {
-        handle_client_frame(fd, *session, *payload);
-        session = sessions_.find(fd);
-        if (session == nullptr) {
-          return;  // a resend hit a dead peer and closed this session
-        }
-      }
-    } catch (const Error&) {
-      close_session(fd, /*protocol_error=*/true);
-      return;
-    }
-  }
-  try_forward();
 }
 
 void AggregatorDaemon::handle_client_frame(int fd, NetSession& session,
@@ -289,8 +198,7 @@ void AggregatorDaemon::handle_client_frame(int fd, NetSession& session,
     // our aggregate (or its reply) may have been lost above us. Nudge
     // the parent by re-sending the outstanding frame — the root answers
     // duplicates idempotently from its stored caps.
-    parent_outbox_.append(last_aggregate_frame_);
-    flush_parent();
+    send_to_parent(last_aggregate_frame_);
     {
       const std::lock_guard<std::mutex> lock(shared_mutex_);
       ++stats_.aggregate_resends;
@@ -300,9 +208,9 @@ void AggregatorDaemon::handle_client_frame(int fd, NetSession& session,
 }
 
 void AggregatorDaemon::try_forward() {
-  if (parent_ == nullptr) {
+  if (parent_fd_ < 0) {
     ensure_parent(/*resend_outstanding=*/true);
-    if (parent_ == nullptr) {
+    if (parent_fd_ < 0) {
       return;  // unreachable; retried on the next tick
     }
   }
@@ -335,8 +243,7 @@ void AggregatorDaemon::try_forward() {
   last_forwarded_round_ = aggregate.round;
   in_flight_ = true;
   forward_started_at_ = Clock::now();
-  parent_outbox_.append(last_aggregate_frame_);
-  flush_parent();
+  send_to_parent(last_aggregate_frame_);
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
     ++stats_.rounds_forwarded;
@@ -347,18 +254,15 @@ void AggregatorDaemon::try_forward() {
 }
 
 void AggregatorDaemon::ensure_parent(bool resend_outstanding) {
-  if (parent_ != nullptr && parent_->valid()) {
+  if (parent_fd_ >= 0) {
     return;
   }
   std::unique_ptr<Transport> link = options_.parent_connector();
   if (link == nullptr || !link->valid()) {
     return;  // parent unreachable; retried on the next tick
   }
-  parent_ = std::move(link);
-  parent_decoder_ = FrameDecoder{};
-  parent_outbox_.clear();
-  loop_.add_fd(parent_->fd(), POLLIN,
-               [this](short revents) { on_parent_ready(revents); });
+  parent_fd_ = sessions_.add(std::move(link));
+  sessions_.find(parent_fd_)->upstream = true;
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
     ++stats_.parent_connects;
@@ -368,8 +272,7 @@ void AggregatorDaemon::ensure_parent(bool resend_outstanding) {
     // Reconnect-with-resend: the outstanding round must not be lost to
     // the old link. The root's stale-round handling makes the duplicate
     // harmless if the original did arrive.
-    parent_outbox_.append(last_aggregate_frame_);
-    flush_parent();
+    send_to_parent(last_aggregate_frame_);
     {
       const std::lock_guard<std::mutex> lock(shared_mutex_);
       ++stats_.aggregate_resends;
@@ -378,86 +281,26 @@ void AggregatorDaemon::ensure_parent(bool resend_outstanding) {
   }
 }
 
-void AggregatorDaemon::drop_parent() {
-  if (parent_ == nullptr) {
-    return;
-  }
-  loop_.remove_fd(parent_->fd());
-  parent_->close();
-  parent_.reset();
-  parent_outbox_.clear();
+void AggregatorDaemon::drop_parent(CloseCause cause) {
+  parent_fd_ = -1;
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
     ++stats_.parent_disconnects;
+    // A corrupt upstream stream is indistinguishable from a torn link:
+    // both drop it and reconnect rather than guess at the offset.
+    if (cause == CloseCause::kProtocolError) {
+      ++stats_.protocol_errors;
+    }
   }
   options_.obs.count("net.aggregator.parent_disconnects");
   // in_flight_ stays set: the reply may never come over the dead link,
   // so the reconnect path re-sends the outstanding aggregate.
 }
 
-void AggregatorDaemon::flush_parent() {
-  if (parent_ == nullptr) {
-    return;
+void AggregatorDaemon::send_to_parent(const std::string& frame) {
+  if (NetSession* parent = sessions_.find(parent_fd_)) {
+    sessions_.queue_frame(parent_fd_, *parent, frame);
   }
-  while (!parent_outbox_.empty()) {
-    const IoResult result = parent_->write_some(parent_outbox_);
-    if (result.status == IoStatus::kOk) {
-      parent_outbox_.erase(0, result.bytes);
-      continue;
-    }
-    if (result.status == IoStatus::kWouldBlock) {
-      loop_.set_events(parent_->fd(), POLLIN | POLLOUT);
-      return;
-    }
-    drop_parent();
-    return;
-  }
-  loop_.set_events(parent_->fd(), POLLIN);
-}
-
-void AggregatorDaemon::on_parent_ready(short revents) {
-  if (parent_ == nullptr) {
-    return;
-  }
-  if ((revents & POLLOUT) != 0) {
-    flush_parent();
-    if (parent_ == nullptr) {
-      return;  // flush found the link dead
-    }
-  }
-  if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-    return;
-  }
-  char buffer[4096];
-  for (;;) {
-    const IoResult result = parent_->read_some(buffer, sizeof(buffer));
-    if (result.status == IoStatus::kWouldBlock) {
-      break;
-    }
-    if (result.status == IoStatus::kClosed) {
-      drop_parent();
-      return;
-    }
-    try {
-      parent_decoder_.feed(std::string_view(buffer, result.bytes));
-      while (auto payload = parent_decoder_.next()) {
-        handle_parent_frame(*payload);
-        if (parent_ == nullptr) {
-          return;
-        }
-      }
-    } catch (const Error&) {
-      // A corrupt upstream stream is indistinguishable from a torn link:
-      // drop and reconnect rather than guessing at the offset.
-      {
-        const std::lock_guard<std::mutex> lock(shared_mutex_);
-        ++stats_.protocol_errors;
-      }
-      drop_parent();
-      return;
-    }
-  }
-  try_forward();
 }
 
 void AggregatorDaemon::handle_parent_frame(const std::string& payload) {
@@ -528,26 +371,8 @@ void AggregatorDaemon::handle_rack_policy(core::RackPolicyMessage policy) {
 void AggregatorDaemon::relay_budget(const core::BudgetMessage& budget) {
   last_budget_ = budget;
   have_budget_ = true;
-  const std::string frame =
-      encode_frame(serialize(budget, core::WireFidelity::kExact));
-  std::vector<int> fds;
-  for (const auto& [fd, session] : sessions_.map()) {
-    if (session.registered) {
-      fds.push_back(fd);
-    }
-  }
-  std::size_t relayed = 0;
-  {
-    const SessionTable::Batch batch(sessions_);
-    for (const int fd : fds) {
-      NetSession* session = sessions_.find(fd);
-      if (session == nullptr) {
-        continue;
-      }
-      sessions_.queue_frame(fd, *session, frame);
-      ++relayed;
-    }
-  }
+  const std::size_t relayed = sessions_.broadcast(
+      encode_frame(serialize(budget, core::WireFidelity::kExact)));
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
     stats_.budget_relays += relayed;
@@ -564,16 +389,9 @@ void AggregatorDaemon::queue_to_client(int fd, NetSession& session,
 }
 
 void AggregatorDaemon::on_tick() {
-  adopt_pending_transports();
+  sessions_.admit_adopted();
+  sessions_.sweep_idle(options_.idle_timeout);
   const auto now = Clock::now();
-
-  for (const int fd : sessions_.idle_fds(now, options_.idle_timeout)) {
-    {
-      const std::lock_guard<std::mutex> lock(shared_mutex_);
-      ++stats_.sessions_timed_out;
-    }
-    close_session(fd, /*protocol_error=*/false);
-  }
 
   std::vector<std::string> evictions;
   for (const auto& [name, job] : jobs_) {
@@ -586,9 +404,7 @@ void AggregatorDaemon::on_tick() {
     evict_job(name);
   }
 
-  if (parent_ == nullptr) {
-    ensure_parent(/*resend_outstanding=*/true);
-  }
+  ensure_parent(/*resend_outstanding=*/true);
   try_forward();
 }
 

@@ -110,7 +110,7 @@ class AggregatorDaemon {
   void listen_unix(const std::string& path);
   void listen_tcp(std::uint16_t port);
   [[nodiscard]] std::uint16_t tcp_port() const noexcept {
-    return tcp_port_;
+    return sessions_.tcp_port();
   }
 
   /// Adopts a pre-connected local client socket/transport. Thread-safe.
@@ -141,13 +141,10 @@ class AggregatorDaemon {
     Clock::time_point disconnected_at{};
   };
 
-  void add_session(std::unique_ptr<Transport> transport);
-  void adopt_pending_transports();
-  void on_listener_ready(std::size_t listener_index);
-  void on_session_ready(int fd, short revents);
+  void on_session_opened();
   void handle_client_frame(int fd, NetSession& session,
                            const std::string& payload);
-  void close_session(int fd, bool protocol_error);
+  void close_session(int fd, NetSession& session, CloseCause cause);
   void evict_job(const std::string& name);
   /// Forwards one aggregate frame when every seated job is fresh and no
   /// frame is awaiting its reply.
@@ -155,31 +152,29 @@ class AggregatorDaemon {
   /// (Re)establishes the upstream link; re-sends the outstanding
   /// aggregate if one is awaiting a reply.
   void ensure_parent(bool resend_outstanding);
-  /// Drives the upstream outbox (non-blocking); drops the link on error.
-  void flush_parent();
-  void on_parent_ready(short revents);
+  /// The upstream session closed: forget it; the next tick reconnects.
+  void drop_parent(CloseCause cause);
+  /// Queues a frame on the upstream session; a no-op while it is down.
+  void send_to_parent(const std::string& frame);
   void handle_parent_frame(const std::string& payload);
   void handle_rack_policy(core::RackPolicyMessage policy);
   void relay_budget(const core::BudgetMessage& budget);
-  void drop_parent();
   void queue_to_client(int fd, NetSession& session,
                        const core::PolicyMessage& message);
   void on_tick();
 
   AggregatorOptions options_;
   EventLoop loop_;
-  std::vector<Listener> listeners_;
   SessionTable sessions_;
   /// Name-keyed: the aggregate frame's job order is the deterministic
   /// name order, matching the root's allocation order.
   std::map<std::string, LocalJob> jobs_;
 
-  /// Upstream link. The parent is NOT a SessionTable session: its frames
-  /// follow the client protocol (policies inbound), not the server one,
-  /// and its loss is a reconnect trigger rather than a close.
-  std::unique_ptr<Transport> parent_;
-  FrameDecoder parent_decoder_;
-  std::string parent_outbox_;
+  /// The upstream link's fd (-1 while down). The parent is an upstream
+  /// session in sessions_: it shares the read, dispatch and write path,
+  /// but its frames follow the client protocol (policies inbound), the
+  /// idle sweep skips it, and its close is a reconnect trigger.
+  int parent_fd_ = -1;
   bool launch_barrier_met_ = false;
   /// The last aggregate frame forwarded and whether its reply is still
   /// outstanding. Kept encoded so a reconnect can resend byte-identical.
@@ -193,11 +188,9 @@ class AggregatorDaemon {
   bool have_budget_ = false;
 
   obs::Histogram* round_latency_ = nullptr;
-  std::uint16_t tcp_port_ = 0;
 
-  mutable std::mutex shared_mutex_;  ///< Guards stats_ and pending_.
+  mutable std::mutex shared_mutex_;  ///< Guards stats_.
   AggregatorStats stats_;
-  std::vector<std::unique_ptr<Transport>> pending_adoptions_;
 };
 
 }  // namespace ps::net

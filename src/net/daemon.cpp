@@ -1,8 +1,7 @@
 #include "net/daemon.hpp"
 
-#include <poll.h>
-
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <utility>
@@ -19,13 +18,6 @@ namespace ps::net {
 
 namespace {
 
-/// Round-latency bucket edges (seconds): sub-millisecond loopback rounds
-/// through multi-second stalls.
-constexpr double kRoundLatencyBounds[] = {0.0005, 0.001, 0.002, 0.005,
-                                          0.01,   0.02,  0.05,  0.1,
-                                          0.25,   0.5,   1.0,   2.5,
-                                          5.0};
-
 /// A job's programmable envelope as its runtime reports it; the CPU/node
 /// TDP is the site's.
 core::JobLimits limits_from_sample(const core::SampleMessage& sample,
@@ -39,6 +31,28 @@ core::JobLimits limits_from_sample(const core::SampleMessage& sample,
           .sla_class = sample.sla_class};
 }
 
+/// Adds every CPU cap, then every GPU cap, to `total` one at a time, so
+/// every running watt total here sums in one order.
+void add_caps(double& total, const std::vector<double>& cpu_caps,
+              const std::vector<double>& gpu_caps) {
+  for (const double cap : cpu_caps) {
+    total += cap;
+  }
+  for (const double cap : gpu_caps) {
+    total += cap;
+  }
+}
+
+/// Appends one job's caps to a rack reply: the round is the newest
+/// sequence carried, the rack budget the sum of the caps.
+void add_to_rack_reply(core::RackPolicyMessage& reply,
+                       const core::PolicyMessage& policy) {
+  reply.round = std::max(reply.round, policy.sequence);
+  add_caps(reply.rack_budget_watts, policy.host_caps_watts,
+           policy.host_gpu_caps_watts);
+  reply.policies.push_back(policy);
+}
+
 }  // namespace
 
 PowerDaemon::PowerDaemon(const DaemonOptions& options)
@@ -46,7 +60,11 @@ PowerDaemon::PowerDaemon(const DaemonOptions& options)
       policy_(core::make_policy(options.policy)),
       loop_(options.event_backend),
       sessions_(loop_,
-                [this](int fd) { close_session(fd, /*protocol_error=*/false); }) {
+                {.on_open = [this](int) { on_session_opened(); },
+                 .on_frame = std::bind_front(&PowerDaemon::handle_frame, this),
+                 .on_close = std::bind_front(&PowerDaemon::close_session, this),
+                 .on_drained = [this] { try_allocate(); }},
+                options.transport_wrapper) {
   PS_REQUIRE(options.system_budget_watts > 0.0,
              "system budget must be positive");
   PS_REQUIRE(options.min_jobs > 0, "launch barrier needs at least one job");
@@ -148,39 +166,27 @@ std::uint64_t PowerDaemon::completed_rounds() const {
 }
 
 void PowerDaemon::listen_unix(const std::string& path) {
-  listeners_.push_back(net::listen_unix(path));
-  const std::size_t index = listeners_.size() - 1;
-  loop_.add_fd(listeners_.back().fd(), POLLIN,
-               [this, index](short) { on_listener_ready(index); });
+  sessions_.listen_unix(path);
 }
 
 void PowerDaemon::listen_tcp(std::uint16_t port) {
-  listeners_.push_back(net::listen_tcp(port, &tcp_port_));
-  const std::size_t index = listeners_.size() - 1;
-  loop_.add_fd(listeners_.back().fd(), POLLIN,
-               [this, index](short) { on_listener_ready(index); });
+  sessions_.listen_tcp(port);
 }
 
 void PowerDaemon::adopt(Socket socket) {
   PS_REQUIRE(socket.valid(), "cannot adopt an invalid socket");
-  adopt(make_transport(std::move(socket)));
+  sessions_.adopt(make_transport(std::move(socket)));
 }
 
 void PowerDaemon::adopt(std::unique_ptr<Transport> transport) {
-  PS_REQUIRE(transport != nullptr && transport->valid(),
-             "cannot adopt an invalid transport");
-  {
-    const std::lock_guard<std::mutex> lock(shared_mutex_);
-    pending_adoptions_.push_back(std::move(transport));
-  }
-  loop_.wake();
+  sessions_.adopt(std::move(transport));
 }
 
 void PowerDaemon::run() {
-  adopt_pending_transports();
+  sessions_.admit_adopted();
   apply_pending_revisions();
   while (loop_.run_once(std::chrono::milliseconds(-1))) {
-    adopt_pending_transports();
+    sessions_.admit_adopted();
     apply_pending_revisions();
   }
 }
@@ -249,29 +255,8 @@ void PowerDaemon::push_budget_to_sessions() {
   core::BudgetMessage message;
   message.epoch = budget_epoch_;
   message.budget_watts = budget_watts_;
-  const std::string frame = encode_frame(
-      serialize(message, core::WireFidelity::kExact));
-  std::vector<int> fds;
-  fds.reserve(sessions_.size());
-  for (const auto& [fd, session] : sessions_.map()) {
-    if (session.registered) {
-      fds.push_back(fd);
-    }
-  }
-  std::size_t pushed = 0;
-  {
-    // Coalesce: one flush per session once every push is queued; a dead
-    // peer is closed when the batch drains, never mid-collection.
-    const SessionTable::Batch batch(sessions_);
-    for (const int fd : fds) {
-      NetSession* session = sessions_.find(fd);
-      if (session == nullptr) {
-        continue;  // closed since collection
-      }
-      sessions_.queue_frame(fd, *session, frame);
-      ++pushed;
-    }
-  }
+  const std::size_t pushed = sessions_.broadcast(
+      encode_frame(serialize(message, core::WireFidelity::kExact)));
   const std::lock_guard<std::mutex> lock(shared_mutex_);
   stats_.budget_pushes += pushed;
 }
@@ -318,8 +303,11 @@ void PowerDaemon::clamp_stored_caps() {
       ++j;
     }
   }
-  const std::lock_guard<std::mutex> lock(shared_mutex_);
-  ++stats_.emergency_clamps;
+  {
+    const std::lock_guard<std::mutex> lock(shared_mutex_);
+    ++stats_.adoption_clamps;
+  }
+  options_.obs.count("net.daemon.adoption_clamps");
 }
 
 DaemonStats PowerDaemon::stats() const {
@@ -327,26 +315,7 @@ DaemonStats PowerDaemon::stats() const {
   return stats_;
 }
 
-void PowerDaemon::adopt_pending_transports() {
-  std::vector<std::unique_ptr<Transport>> adopted;
-  {
-    const std::lock_guard<std::mutex> lock(shared_mutex_);
-    adopted.swap(pending_adoptions_);
-  }
-  for (std::unique_ptr<Transport>& transport : adopted) {
-    add_session(std::move(transport));
-  }
-}
-
-void PowerDaemon::add_session(std::unique_ptr<Transport> transport) {
-  if (options_.transport_wrapper) {
-    transport = options_.transport_wrapper(std::move(transport));
-    PS_REQUIRE(transport != nullptr && transport->valid(),
-               "transport wrapper returned an invalid transport");
-  }
-  sessions_.add(std::move(transport), [this](int fd, short revents) {
-    on_session_ready(fd, revents);
-  });
+void PowerDaemon::on_session_opened() {
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
     ++stats_.sessions_accepted;
@@ -355,33 +324,23 @@ void PowerDaemon::add_session(std::unique_ptr<Transport> transport) {
   options_.obs.emit(completed_rounds(), obs::cat::kNetIo, "session_accepted");
 }
 
-void PowerDaemon::on_listener_ready(std::size_t listener_index) {
-  while (auto socket = listeners_[listener_index].accept()) {
-    add_session(make_transport(std::move(*socket)));
-  }
-}
-
-void PowerDaemon::close_session(int fd, bool protocol_error) {
-  NetSession* session = sessions_.find(fd);
-  if (session == nullptr) {
-    return;  // idempotent: double-close (e.g. close during flush) no-ops
-  }
-  const bool registered = session->registered;
-  const std::string job_name = session->job_name;
-  const bool is_rack = session->is_rack;
-  const std::vector<std::string> rack_jobs = session->rack_jobs;
-  // The peer observes EOF the moment the fd closes, so keep the
-  // transport alive until every consequence of this close (protocol
-  // error attribution, quarantine, eviction) is recorded: a stats()
-  // reader who saw the disconnect must see final counters.
-  const std::unique_ptr<Transport> transport = sessions_.remove(fd);
+void PowerDaemon::close_session(int fd, NetSession& session,
+                                CloseCause cause) {
+  // The table keeps the transport open until this returns, so a stats()
+  // reader who saw the disconnect sees every consequence of it (protocol
+  // error attribution, quarantine, eviction) already counted.
+  const bool protocol_error = cause == CloseCause::kProtocolError;
+  const std::string& job_name = session.job_name;
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
     ++stats_.sessions_closed;
     if (protocol_error) {
       ++stats_.protocol_errors;
     }
-    if (is_rack && stats_.rack_sessions > 0) {
+    if (cause == CloseCause::kIdle) {
+      ++stats_.sessions_timed_out;
+    }
+    if (session.is_rack && stats_.rack_sessions > 0) {
       --stats_.rack_sessions;
     }
   }
@@ -390,7 +349,7 @@ void PowerDaemon::close_session(int fd, bool protocol_error) {
                     {{"job", job_name}, {"protocol_error", protocol_error}});
 
   bool quarantined = false;
-  if (registered && !is_rack) {
+  if (session.registered && !session.is_rack) {
     const auto jit = jobs_.find(job_name);
     // The fd guard keeps a stale close (a late error on a connection the
     // job already replaced) from detaching the job's live session.
@@ -415,7 +374,7 @@ void PowerDaemon::close_session(int fd, bool protocol_error) {
         }
       }
     }
-  } else if (registered && is_rack) {
+  } else if (session.registered) {
     // Every job the rack carried enters grace together; each is still
     // reclaimed exactly once (by the ordinary grace-expiry eviction) if
     // the aggregator does not reconnect in time. Rack protocol errors
@@ -423,7 +382,7 @@ void PowerDaemon::close_session(int fd, bool protocol_error) {
     // infrastructure, and quarantining a whole rack's jobs for one bad
     // frame would amplify a transient fault into a mass eviction.
     const auto now = Clock::now();
-    for (const std::string& name : rack_jobs) {
+    for (const std::string& name : session.rack_jobs) {
       const auto jit = jobs_.find(name);
       if (jit != jobs_.end() && jit->second.session_fd == fd) {
         jit->second.session_fd = -1;
@@ -431,7 +390,6 @@ void PowerDaemon::close_session(int fd, bool protocol_error) {
       }
     }
   }
-  transport->close();
   // Membership may have changed (a quarantined job frees its watts); a
   // disconnect within grace does not, but a pending round may now be
   // waiting only on jobs that can still answer.
@@ -495,15 +453,15 @@ void PowerDaemon::evict_job(const std::string& name) {
   if (it == jobs_.end()) {
     return;  // idempotent: watts can only be returned once
   }
-  double stored_before = 0.0;
-  for (const auto& [job_name, job_record] : jobs_) {
-    for (const double cap : job_record.last_caps_watts) {
-      stored_before += cap;
+  const auto stored = [this] {
+    double total = 0.0;
+    for (const auto& [job_name, job_record] : jobs_) {
+      add_caps(total, job_record.last_caps_watts,
+               job_record.last_gpu_caps_watts);
     }
-    for (const double cap : job_record.last_gpu_caps_watts) {
-      stored_before += cap;
-    }
-  }
+    return total;
+  };
+  const double stored_before = stored();
   const JobRecord record = std::move(it->second);
   jobs_.erase(it);
 
@@ -517,31 +475,15 @@ void PowerDaemon::evict_job(const std::string& name) {
       session->rack_jobs.erase(std::remove(session->rack_jobs.begin(),
                                            session->rack_jobs.end(), name),
                                session->rack_jobs.end());
-    } else if (session != nullptr) {
-      const std::unique_ptr<Transport> transport =
-          sessions_.remove(record.session_fd);
-      transport->close();
+    } else if (sessions_.remove(record.session_fd)) {
       const std::lock_guard<std::mutex> lock(shared_mutex_);
       ++stats_.sessions_closed;
     }
   }
 
   double reclaimed = 0.0;
-  for (const double cap : record.last_caps_watts) {
-    reclaimed += cap;
-  }
-  for (const double cap : record.last_gpu_caps_watts) {
-    reclaimed += cap;
-  }
-  double stored_after = 0.0;
-  for (const auto& [job_name, job_record] : jobs_) {
-    for (const double cap : job_record.last_caps_watts) {
-      stored_after += cap;
-    }
-    for (const double cap : job_record.last_gpu_caps_watts) {
-      stored_after += cap;
-    }
-  }
+  add_caps(reclaimed, record.last_caps_watts, record.last_gpu_caps_watts);
+  const double stored_after = stored();
   // Exactly-once reclamation in watt terms: the pool before the eviction
   // equals what the job freed plus what everyone else still holds.
   core::invariants::check_watts_conserved(stored_before, reclaimed,
@@ -566,56 +508,6 @@ void PowerDaemon::evict_job(const std::string& name) {
                     {{"job", name},
                      {"watts_reclaimed", record.have_policy ? reclaimed : 0.0}});
   maybe_write_snapshot();
-}
-
-void PowerDaemon::on_session_ready(int fd, short revents) {
-  {
-    NetSession* session = sessions_.find(fd);
-    if (session == nullptr) {
-      return;
-    }
-    session->last_activity = Clock::now();
-
-    if ((revents & POLLOUT) != 0) {
-      sessions_.flush(fd, *session);
-      session = sessions_.find(fd);
-      if (session == nullptr) {
-        return;  // flush hit a dead peer and closed the session
-      }
-    }
-    if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-      return;
-    }
-
-    char buffer[4096];
-    for (;;) {
-      const IoResult result =
-          session->transport->read_some(buffer, sizeof(buffer));
-      if (result.status == IoStatus::kWouldBlock) {
-        break;
-      }
-      if (result.status == IoStatus::kClosed) {
-        close_session(fd, /*protocol_error=*/false);
-        return;
-      }
-      try {
-        session->decoder.feed(std::string_view(buffer, result.bytes));
-        while (auto payload = session->decoder.next()) {
-          handle_frame(fd, *session, *payload);
-          session = sessions_.find(fd);
-          if (session == nullptr) {
-            return;  // a resend hit a dead peer and closed this session
-          }
-        }
-      } catch (const Error&) {
-        // Oversized frame, checksum mismatch, or malformed message: the
-        // stream offset can no longer be trusted, drop the connection.
-        close_session(fd, /*protocol_error=*/true);
-        return;
-      }
-    }
-  }
-  try_allocate();
 }
 
 void PowerDaemon::handle_frame(int fd, NetSession& session,
@@ -780,7 +672,7 @@ void PowerDaemon::handle_rack_frame(int fd, NetSession& session,
       session.rack_jobs.push_back(job_name);
     }
     if (offer_sample(record, std::move(sample), now)) {
-      resend.policies.push_back(stored_policy(job_name, record));
+      add_to_rack_reply(resend, stored_policy(job_name, record));
     }
   }
   {
@@ -793,15 +685,6 @@ void PowerDaemon::handle_rack_frame(int fd, NetSession& session,
     // Already-answered rounds (post-crash reconnects, lost replies) get
     // one batched resend of the stored caps, mirroring the flat path's
     // per-job resend.
-    for (const core::PolicyMessage& policy : resend.policies) {
-      resend.round = std::max(resend.round, policy.sequence);
-      for (const double cap : policy.host_caps_watts) {
-        resend.rack_budget_watts += cap;
-      }
-      for (const double cap : policy.host_gpu_caps_watts) {
-        resend.rack_budget_watts += cap;
-      }
-    }
     {
       const std::lock_guard<std::mutex> lock(shared_mutex_);
       ++stats_.rack_policies_resent;
@@ -962,26 +845,36 @@ void PowerDaemon::allocate_once() {
                               .budget_binds = policy_->is_system_aware()}
         .run();
   }();
+  // A kept round answers every job holding caps with those caps, tagged
+  // with this round's sequence, so no client waits out its request
+  // timeout. It programs nothing new: no caps trace, no allocation count
+  // and no snapshot, so the deterministic stream and the round clock are
+  // those of a round that sent nothing.
+  const bool kept = round.verdict == core::RoundVerdict::kKeep;
   if (round.over_budget) {
     // A policy output a site would reject: the round kept every job on
     // its stored caps if they still fit, else emergency-clamped it.
-    const bool clamped = round.verdict == core::RoundVerdict::kClamp;
     options_.obs.count("net.daemon.budget_violations");
     options_.obs.emit(round_sequence, obs::cat::kDaemon, "violation",
                       {{"budget_watts", budget_watts_}});
     {
       const std::lock_guard<std::mutex> lock(shared_mutex_);
       ++stats_.budget_violations;
-      stats_.emergency_clamps += clamped ? 1 : 0;
+      stats_.emergency_clamps += kept ? 0 : 1;
     }
-    if (!clamped) {
-      return;
+    if (!kept) {
+      options_.obs.count("net.daemon.emergency_clamps");
     }
-    options_.obs.count("net.daemon.emergency_clamps");
   }
 
   std::vector<core::PolicyMessage> messages(samples.size());
   for (std::size_t j = 0; j < samples.size(); ++j) {
+    if (kept) {
+      JobRecord& record = jobs_.at(names[j]);
+      record.last_sequence = samples[j].sequence;
+      messages[j] = stored_policy(names[j], record);
+      continue;
+    }
     messages[j].host_caps_watts = std::move(round.caps.job_host_caps[j]);
     if (j < round.caps.job_host_gpu_caps.size()) {
       messages[j].host_gpu_caps_watts =
@@ -1000,7 +893,7 @@ void PowerDaemon::allocate_once() {
   // The round's deterministic trace record, on the round-sequence clock:
   // round r here is coordination epoch r-1's RM step, and the caps carry
   // exact numeric fidelity — enough to replay the allocation watt-for-watt.
-  if (options_.obs.tracing()) {
+  if (options_.obs.tracing() && !kept) {
     for (const core::PolicyMessage& message : messages) {
       options_.obs.trace->emit(obs::caps_event(
           round_sequence, obs::cat::kDaemon,
@@ -1017,15 +910,17 @@ void PowerDaemon::allocate_once() {
                        {"emergency",
                         round.verdict == core::RoundVerdict::kClamp}});
   }
-  options_.obs.count("net.daemon.allocations");
-  {
-    const std::lock_guard<std::mutex> lock(shared_mutex_);
-    ++stats_.allocations;
+  if (!kept) {
+    options_.obs.count("net.daemon.allocations");
+    {
+      const std::lock_guard<std::mutex> lock(shared_mutex_);
+      ++stats_.allocations;
+    }
+    // Write-ahead: persist the round before any reply can leave, so a
+    // crash between send and restart rehydrates exactly the caps a
+    // client may already have heard.
+    maybe_write_snapshot();
   }
-  // Write-ahead: persist the round before any reply can leave, so a
-  // crash between send and restart rehydrates exactly the caps a client
-  // may already have heard.
-  maybe_write_snapshot();
 
   std::size_t sent = 0;
   std::size_t rack_frames = 0;
@@ -1041,6 +936,9 @@ void PowerDaemon::allocate_once() {
       if (it == jobs_.end() || it->second.session_fd < 0) {
         continue;  // in grace: caps are stored, resent on reconnect
       }
+      if (!it->second.have_policy) {
+        continue;  // kept round: this job holds no caps to keep
+      }
       const int fd = it->second.session_fd;
       NetSession* session = sessions_.find(fd);
       if (session == nullptr) {
@@ -1052,14 +950,7 @@ void PowerDaemon::allocate_once() {
         // caps, i.e. the rack's renegotiated share for this epoch.
         core::RackPolicyMessage& reply = rack_replies[fd];
         reply.rack = session->rack_name;
-        reply.round = std::max(reply.round, messages[j].sequence);
-        for (const double cap : messages[j].host_caps_watts) {
-          reply.rack_budget_watts += cap;
-        }
-        for (const double cap : messages[j].host_gpu_caps_watts) {
-          reply.rack_budget_watts += cap;
-        }
-        reply.policies.push_back(messages[j]);
+        add_to_rack_reply(reply, messages[j]);
       } else {
         queue_message(fd, *session, messages[j]);
         ++fanout_sessions;
@@ -1086,9 +977,13 @@ void PowerDaemon::allocate_once() {
                          static_cast<double>(fanout_sessions));
   options_.obs.set_gauge("net.daemon.racks",
                          static_cast<double>(rack_frames));
+  if (kept && rack_frames > 0) {
+    options_.obs.count("net.daemon.rack_policies_resent", rack_frames);
+  }
   const std::lock_guard<std::mutex> lock(shared_mutex_);
-  stats_.policies_sent += sent;
-  stats_.rack_policies_sent += rack_frames;
+  (kept ? stats_.policies_resent : stats_.policies_sent) += sent;
+  (kept ? stats_.rack_policies_resent : stats_.rack_policies_sent) +=
+      rack_frames;
 }
 
 void PowerDaemon::maybe_write_snapshot() {
@@ -1144,18 +1039,11 @@ void PowerDaemon::maybe_write_snapshot() {
 }
 
 void PowerDaemon::on_tick() {
-  adopt_pending_transports();
+  sessions_.admit_adopted();
   apply_pending_revisions();
   const auto now = Clock::now();
   prune_quarantine(now);
-
-  for (const int fd : sessions_.idle_fds(now, options_.idle_timeout)) {
-    {
-      const std::lock_guard<std::mutex> lock(shared_mutex_);
-      ++stats_.sessions_timed_out;
-    }
-    close_session(fd, /*protocol_error=*/false);
-  }
+  sessions_.sweep_idle(options_.idle_timeout);
 
   std::vector<std::string> evictions;
   for (const auto& [name, record] : jobs_) {

@@ -153,7 +153,9 @@ struct DaemonStats {
   std::size_t jobs_evicted = 0;
   std::size_t quarantines = 0;
   std::size_t quarantine_rejections = 0;
-  std::size_t policies_resent = 0;  ///< Lost-reply retransmissions.
+  /// Stored caps sent again: lost-reply retransmissions and the caps a
+  /// kept round answers with.
+  std::size_t policies_resent = 0;
   std::size_t snapshots_written = 0;
   double watts_reclaimed = 0.0;  ///< Total returned to the pool by eviction.
   double reclaim_seconds_total = 0.0;  ///< Disconnect -> reclaim latency sum.
@@ -166,6 +168,8 @@ struct DaemonStats {
   std::size_t budget_revisions_stale = 0;  ///< Rejected: epoch not newer.
   std::size_t budget_pushes = 0;     ///< BudgetMessages queued to clients.
   std::size_t emergency_clamps = 0;  ///< Rounds that took the clamp path.
+  /// Budget revisions whose adoption clamped the stored caps.
+  std::size_t adoption_clamps = 0;
 
   /// High-availability accounting.
   std::uint64_t fence_epoch = 0;      ///< This incarnation's fence.
@@ -180,7 +184,7 @@ struct DaemonStats {
   std::size_t rack_sessions = 0;        ///< Registered racks, current.
   std::size_t rack_frames_received = 0; ///< Aggregate sample frames in.
   std::size_t rack_policies_sent = 0;   ///< Batched policy frames out.
-  std::size_t rack_policies_resent = 0; ///< Batched stale-round resends.
+  std::size_t rack_policies_resent = 0; ///< Batched stored-cap resends.
 };
 
 /// The resource-manager power daemon: accepts many concurrent runtime
@@ -202,7 +206,10 @@ struct DaemonStats {
 ///      the configured policy over every record's latest sample, in
 ///      job-name order. Each job is sent a PolicyMessage echoing its
 ///      own sample sequence; the caps are persisted first (write-ahead)
-///      when a snapshot path is configured.
+///      when a snapshot path is configured. A round whose output breaks
+///      the budget while the stored caps still fit keeps them: each job
+///      is sent its stored caps under the round's sequence (a resend —
+///      no allocation is counted or persisted).
 ///   4. A disconnect starts the reclaim_timeout grace; eviction (grace
 ///      expiry, heartbeat stall, or protocol-error quarantine) frees the
 ///      job's watts for the next round.
@@ -223,7 +230,7 @@ class PowerDaemon {
   /// Port 0 picks an ephemeral port; see tcp_port().
   void listen_tcp(std::uint16_t port);
   [[nodiscard]] std::uint16_t tcp_port() const noexcept {
-    return tcp_port_;
+    return sessions_.tcp_port();
   }
 
   /// Adopts a pre-connected socket (the loopback transport). Thread-safe;
@@ -270,10 +277,7 @@ class PowerDaemon {
     std::size_t protocol_errors = 0;
   };
 
-  void add_session(std::unique_ptr<Transport> transport);
-  void adopt_pending_transports();
-  void on_listener_ready(std::size_t listener_index);
-  void on_session_ready(int fd, short revents);
+  void on_session_opened();
   void handle_frame(int fd, NetSession& session, const std::string& payload);
   void handle_sample_frame(int fd, NetSession& session,
                            core::SampleMessage sample);
@@ -288,7 +292,7 @@ class PowerDaemon {
   /// must resend the stored caps; otherwise offers the sample.
   bool offer_sample(JobRecord& record, core::SampleMessage sample,
                     Clock::time_point now);
-  void close_session(int fd, bool protocol_error);
+  void close_session(int fd, NetSession& session, CloseCause cause);
   void evict_job(const std::string& name);
   void queue_message(int fd, NetSession& session,
                      const core::PolicyMessage& message);
@@ -314,7 +318,6 @@ class PowerDaemon {
   DaemonOptions options_;
   std::unique_ptr<core::Policy> policy_;
   EventLoop loop_;
-  std::vector<Listener> listeners_;
   SessionTable sessions_;
   /// Name-keyed: iteration order is the deterministic round order.
   std::map<std::string, JobRecord> jobs_;
@@ -326,7 +329,6 @@ class PowerDaemon {
   std::uint64_t allocation_epoch_base_ = 0;  ///< From a restored snapshot.
   bool in_allocate_ = false;
   bool allocate_again_ = false;
-  std::uint16_t tcp_port_ = 0;
   /// The budget currently enforced (options budget until revised, then
   /// the newest adopted revision; a restored snapshot's revised budget
   /// wins over the configured one).
@@ -339,7 +341,6 @@ class PowerDaemon {
 
   mutable std::mutex shared_mutex_;  ///< Guards stats_ and pending_.
   DaemonStats stats_;
-  std::vector<std::unique_ptr<Transport>> pending_adoptions_;
   std::vector<core::BudgetRevision> pending_revisions_;
 };
 

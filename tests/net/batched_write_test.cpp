@@ -5,7 +5,9 @@
 // next allocation would overspend). Also covers the rack-session variant
 // of the same audit: evicting one job bound through a rack session must
 // unbind that job without closing the rack session the surviving jobs
-// still depend on.
+// still depend on. The last cases pin the shared session layer's own
+// semantics: read dispatch order, the would-block write path, and the
+// idle sweep sparing the aggregator's parent link.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -21,8 +23,11 @@
 #include <vector>
 
 #include "core/endpoint.hpp"
+#include "net/aggregator.hpp"
 #include "net/daemon.hpp"
+#include "net/event_loop.hpp"
 #include "net/framing.hpp"
+#include "net/session.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
 
@@ -338,6 +343,152 @@ TEST(BatchedWriteTest, RackJobEvictionUnbindsWithoutClosingRackSession) {
   root.stop();
   serving.join();
   std::remove(socket_path.c_str());
+}
+
+/// A table over one loopback session that logs what its owner is told:
+/// "frame:<payload>" per dispatched frame, "close:<cause>" per close.
+struct RecordingTable {
+  EventLoop loop;
+  std::vector<std::string> events;
+  SessionTable table{
+      loop,
+      {.on_frame =
+           [this](int, NetSession&, const std::string& payload) {
+             events.push_back("frame:" + payload);
+           },
+       .on_close =
+           [this](int, NetSession&, CloseCause cause) {
+             events.push_back(cause == CloseCause::kProtocolError
+                                  ? "close:protocol"
+                                  : "close:other");
+           }}};
+
+  /// Runs loop cycles until `done` holds or the deadline passes.
+  bool run_until(const std::function<bool()>& done) {
+    const auto deadline = steady_clock::now() + milliseconds(2000);
+    while (!done() && steady_clock::now() < deadline) {
+      loop.run_once(milliseconds(10));
+    }
+    return done();
+  }
+};
+
+/// Reports the first `stalls` writes as would-block, then passes through.
+class StallingTransport final : public Transport {
+ public:
+  StallingTransport(std::unique_ptr<Transport> inner, int stalls)
+      : inner_(std::move(inner)), stalls_(stalls) {}
+
+  [[nodiscard]] int fd() const noexcept override { return inner_->fd(); }
+  [[nodiscard]] bool valid() const noexcept override {
+    return inner_->valid();
+  }
+  void close() noexcept override { inner_->close(); }
+  IoResult read_some(char* out, std::size_t max_bytes) override {
+    return inner_->read_some(out, max_bytes);
+  }
+  IoResult write_some(std::string_view bytes) override {
+    if (stalls_ > 0) {
+      --stalls_;
+      return {IoStatus::kWouldBlock, 0};
+    }
+    return inner_->write_some(bytes);
+  }
+  [[nodiscard]] bool wait_readable(milliseconds timeout) override {
+    return inner_->wait_readable(timeout);
+  }
+  [[nodiscard]] bool wait_writable(milliseconds timeout) override {
+    return inner_->wait_writable(timeout);
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  int stalls_;
+};
+
+TEST(BatchedWriteTest, GoodFrameBeforeCorruptOneIsDeliveredThenClosed) {
+  RecordingTable recorder;
+  auto [server, peer] = loopback_pair();
+  const int fd = recorder.table.add(make_transport(std::move(server)));
+
+  // Both frames leave in one write, so the table reads them in one chunk.
+  std::string corrupt = encode_frame("second");
+  corrupt.back() ^= 0x01;  // the payload no longer matches its CRC
+  const std::string both = encode_frame("first") + corrupt;
+  ASSERT_EQ(peer.write_some(both).bytes, both.size());
+
+  ASSERT_TRUE(
+      recorder.run_until([&] { return !recorder.table.contains(fd); }));
+  EXPECT_EQ(recorder.events,
+            (std::vector<std::string>{"frame:first", "close:protocol"}));
+
+  // The close reached the peer as EOF.
+  char byte = 0;
+  ASSERT_TRUE(peer.wait_readable(milliseconds(2000)));
+  EXPECT_EQ(peer.read_some(&byte, 1).status, IoStatus::kClosed);
+}
+
+TEST(BatchedWriteTest, WouldBlockWriteRearmsPollOutAndDrainsOnReadiness) {
+  RecordingTable recorder;
+  auto [server, peer] = loopback_pair();
+  const int fd = recorder.table.add(std::make_unique<StallingTransport>(
+      make_transport(std::move(server)), 1));
+
+  NetSession* session = recorder.table.find(fd);
+  ASSERT_NE(session, nullptr);
+  recorder.table.queue_frame(fd, *session, encode_frame("caps"));
+  // The write would block: the frame waits in the outbox, nothing left.
+  EXPECT_FALSE(session->outbox.empty());
+  EXPECT_FALSE(peer.wait_readable(milliseconds(0)));
+
+  // The peer never writes, so only POLLOUT readiness can drain it.
+  ASSERT_TRUE(recorder.run_until([&] {
+    const NetSession* live = recorder.table.find(fd);
+    return live != nullptr && live->outbox.empty();
+  }));
+  FrameDecoder decoder;
+  const std::optional<std::string> payload =
+      read_payload(peer, decoder, milliseconds(2000));
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(*payload, "caps");
+  EXPECT_TRUE(recorder.events.empty());  // no frame in, no close
+}
+
+TEST(BatchedWriteTest, IdleSweepSparesTheAggregatorParentLink) {
+  auto [parent_end, root_end] = loopback_pair();
+  std::optional<Socket> uplink(std::move(parent_end));
+  AggregatorOptions options;
+  options.rack = "r0";
+  options.tick_interval = milliseconds(10);
+  options.idle_timeout = milliseconds(100);
+  options.parent_connector = [&uplink]() -> std::unique_ptr<Transport> {
+    if (!uplink) {
+      return nullptr;  // one link only: a reconnect would find nothing
+    }
+    std::unique_ptr<Transport> link = make_transport(std::move(*uplink));
+    uplink.reset();
+    return link;
+  };
+  AggregatorDaemon aggregator(options);
+  auto [client_end, client] = loopback_pair();
+  aggregator.adopt(std::move(client_end));
+  std::thread serving([&aggregator] { aggregator.run(); });
+
+  // The silent client is swept; the equally silent parent link is not.
+  // (No ASSERT may return while the aggregator thread runs.)
+  EXPECT_TRUE(wait_for(
+      [&aggregator] { return aggregator.stats().sessions_timed_out == 1; },
+      milliseconds(5000)));
+  std::this_thread::sleep_for(milliseconds(150));  // more sweeps pass
+  const AggregatorStats stats = aggregator.stats();
+  EXPECT_EQ(stats.sessions_closed, 1u);
+  EXPECT_EQ(stats.parent_connects, 1u);
+  EXPECT_EQ(stats.parent_disconnects, 0u);
+  char byte = 0;
+  EXPECT_EQ(root_end.read_some(&byte, 1).status, IoStatus::kWouldBlock);
+
+  aggregator.stop();
+  serving.join();
 }
 
 }  // namespace

@@ -312,8 +312,8 @@ TEST(DaemonIntegrationTest, ServesOverTcp) {
 /// Floors the budget cannot hold: two clients, two hosts each, report a
 /// 200 W floor under a 600 W budget (Σ floors 800 W). Every round after
 /// the seed breaks the binding budget, and the daemon must take the
-/// keep-or-clamp branch: keep the caps in force while they fit (and send
-/// nothing), else clamp every job onto its floors.
+/// keep-or-clamp branch: keep the caps in force while they fit (and answer
+/// each client with them), else clamp every job onto its floors.
 TEST(DaemonIntegrationTest, FloorsAboveTheBudgetKeepThenClamp) {
   const std::string path = unique_socket_path("floors");
   DaemonOptions options;
@@ -356,8 +356,7 @@ TEST(DaemonIntegrationTest, FloorsAboveTheBudgetKeepThenClamp) {
     }
     return replies;
   };
-  // The verdict counters, read once the round has run (a kept round
-  // sends no reply to wait on).
+  // The verdict counters, read once the round has run.
   const auto stats_after = [&daemon](std::size_t violations) {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(10);
@@ -386,17 +385,22 @@ TEST(DaemonIntegrationTest, FloorsAboveTheBudgetKeepThenClamp) {
 
   // Round 1: the policy's candidate (≥ Σ floors) breaks the budget; the
   // seed caps in force (600 W) still fit, so the daemon keeps them and
-  // sends nothing.
+  // answers each client with them, tagged with this round's sequence —
+  // a resend, not an allocation.
   replies = exchange_round(1);
   for (const auto& reply : replies) {
-    EXPECT_FALSE(reply.has_value());
+    const core::PolicyMessage caps = reply.value_or(core::PolicyMessage{});
+    EXPECT_EQ(caps.host_caps_watts, seed_share);
+    EXPECT_EQ(caps.sequence, 1u);
   }
   stats = stats_after(1);
   EXPECT_EQ(stats.budget_violations, 1u);
   EXPECT_EQ(stats.emergency_clamps, 0u);
+  EXPECT_EQ(stats.policies_resent, 2u);
+  EXPECT_EQ(stats.allocations, 1u);
 
   // Round 2 first adopts the 500 W revision, and adoption clamps the
-  // stored seed caps (600 W no longer fit): one emergency clamp before
+  // stored seed caps (600 W no longer fit): one adoption clamp before
   // the round runs. The clamp lifts them to the floors, since Σ floors is
   // its ceiling when the floors cannot fit. In rounds 2 and 3 neither the
   // candidate nor the caps in force (800 W) fit, so each round clamps
@@ -410,12 +414,17 @@ TEST(DaemonIntegrationTest, FloorsAboveTheBudgetKeepThenClamp) {
     }
     stats = stats_after(sequence);
     EXPECT_EQ(stats.budget_violations, sequence);
-    // The adoption's clamp plus one per round from 2 on.
-    EXPECT_EQ(stats.emergency_clamps, sequence);
+    // One round clamp per round from 2 on; the adoption's clamp apart.
+    EXPECT_EQ(stats.emergency_clamps, sequence - 1);
+    EXPECT_EQ(stats.adoption_clamps, 1u);
   }
   EXPECT_EQ(stats.budget_revisions_applied, 1u);
   EXPECT_DOUBLE_EQ(stats.budget_watts, 500.0);
   EXPECT_EQ(stats.protocol_errors, 0u);
+  // Every round answered: no exchange waited out its request timeout.
+  for (const auto& client : clients) {
+    EXPECT_EQ(client->stats().exchange_failures, 0u);
+  }
 
   daemon.stop();
   serving.join();

@@ -627,11 +627,11 @@ int cmd_daemon(const Args& args) {
   if (args.brownout) {
     std::printf(
         "daemon: budget %.1f W at epoch %llu, %zu revisions applied, "
-        "%zu pushes, %zu emergency clamps\n",
+        "%zu pushes, %zu emergency clamps, %zu adoption clamps\n",
         stats.budget_watts,
         static_cast<unsigned long long>(stats.budget_epoch),
         stats.budget_revisions_applied, stats.budget_pushes,
-        stats.emergency_clamps);
+        stats.emergency_clamps, stats.adoption_clamps);
   }
   if (replicator) {
     const ha::ReplicatorStats repl_stats = replicator->stats();
