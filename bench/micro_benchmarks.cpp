@@ -17,6 +17,7 @@
 #include "analysis/sweep.hpp"
 #include "core/budget_governor.hpp"
 #include "core/coordination.hpp"
+#include "core/degradation.hpp"
 #include "core/endpoint.hpp"
 #include "core/policies.hpp"
 #include "kernel/arithmetic_kernel.hpp"
@@ -204,6 +205,60 @@ void BM_MessageParse(benchmark::State& state) {
                           static_cast<std::int64_t>(wire.size()));
 }
 BENCHMARK(BM_MessageParse)->Arg(100)->Arg(1000);
+
+/// The frame checksum over one payload of Arg bytes: every frame is
+/// checksummed once when encoded and once when decoded.
+void BM_Crc32(benchmark::State& state) {
+  std::string payload(static_cast<std::size_t>(state.range(0)), '\0');
+  util::Rng rng(7);
+  for (char& c : payload) {
+    c = static_cast<char>(rng.uniform_index(256));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::crc32(payload));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(1048576);
+
+/// The multi-tenant degradation step on a root-scale brownout: Arg
+/// single-host jobs, ~97% standard with 1% latency-critical and 2%
+/// best-effort, the budget below the mean need so most jobs are starved.
+/// Its cost should grow linearly: 7500 jobs ~10x the time of 750.
+void BM_ApplySlaDegradation(benchmark::State& state) {
+  const auto jobs = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(42);
+  std::vector<core::SampleMessage> samples(jobs);
+  for (std::size_t j = 0; j < jobs; ++j) {
+    core::SampleMessage& sample = samples[j];
+    sample.job_name = "job-" + std::to_string(j);
+    sample.sequence = 1;
+    sample.min_settable_cap_watts = 136.0;
+    const double draw = rng.uniform();
+    if (draw < 0.01) {
+      sample.sla_class = sim::SlaClass::kLatencyCritical;
+    } else if (draw < 0.03) {
+      sample.sla_class = sim::SlaClass::kBestEffort;
+    }
+    const double needed = rng.uniform(150.0, 250.0);
+    sample.host_needed_watts = {needed};
+    sample.host_observed_watts = {needed};
+  }
+  const double budget = 185.0 * static_cast<double>(jobs);
+  const core::PolicyContext context =
+      core::context_from_samples(budget, 256.0, 16.0, samples);
+  const rm::PowerAllocation raw =
+      core::make_policy(core::PolicyKind::kMixedAdaptive)->allocate(context);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::apply_sla_degradation(context, raw, budget, "bench"));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ApplySlaDegradation)
+    ->Arg(750)
+    ->Arg(7500)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Full daemon round-trip latency over the in-process loopback transport:
 /// framed sample up, policy allocation, framed caps back.

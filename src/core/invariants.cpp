@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -157,27 +158,44 @@ void check_class_budget_conserved(std::span<const ClassAllocationView> jobs,
 
 void check_no_class_inversion(std::span<const ClassAllocationView> jobs,
                               std::string_view where) {
-  for (const ClassAllocationView& starved : jobs) {
-    if (starved.allocated_watts >=
-        starved.guaranteed_watts - starved.tolerance_watts) {
-      continue;  // This job's guarantee is met; it inverts nothing.
+  const auto starved = [](const ClassAllocationView& job) {
+    // Negated, so a NaN allocation counts as starved.
+    return !(job.allocated_watts >= job.guaranteed_watts - job.tolerance_watts);
+  };
+  const auto holds_above_floor = [](const ClassAllocationView& job) {
+    return job.allocated_watts > job.floor_watts + job.tolerance_watts;
+  };
+  // A starved job is inverted exactly when some job ranked below it holds
+  // watts above its floor, i.e. when the lowest such holder rank is below
+  // its own — one pass for that rank, one for the first starved job above
+  // it, so the check stays linear when most jobs are starved.
+  std::optional<std::size_t> lowest_holder_rank;
+  for (const ClassAllocationView& job : jobs) {
+    if (holds_above_floor(job) &&
+        (!lowest_holder_rank || job.rank < *lowest_holder_rank)) {
+      lowest_holder_rank = job.rank;
     }
-    for (const ClassAllocationView& holder : jobs) {
-      if (holder.rank >= starved.rank) {
+  }
+  if (lowest_holder_rank) {
+    for (const ClassAllocationView& victim : jobs) {
+      if (!starved(victim) || victim.rank <= *lowest_holder_rank) {
         continue;
       }
-      if (holder.allocated_watts >
-          holder.floor_watts + holder.tolerance_watts) {
-        std::ostringstream message;
-        message << where << ": class inversion — a rank-" << starved.rank
-                << " job holds " << starved.allocated_watts
-                << " W (guaranteed " << starved.guaranteed_watts
-                << " W) while a rank-" << holder.rank << " job holds "
-                << holder.allocated_watts << " W above its floor "
-                << holder.floor_watts << " W";
-        check(false, message.str());
-        return;
-      }
+      // Name the first holder below the victim in job order, the pair a
+      // job-by-job scan meets first.
+      const ClassAllocationView& holder = *std::find_if(
+          jobs.begin(), jobs.end(), [&](const ClassAllocationView& job) {
+            return job.rank < victim.rank && holds_above_floor(job);
+          });
+      std::ostringstream message;
+      message << where << ": class inversion — a rank-" << victim.rank
+              << " job holds " << victim.allocated_watts
+              << " W (guaranteed " << victim.guaranteed_watts
+              << " W) while a rank-" << holder.rank << " job holds "
+              << holder.allocated_watts << " W above its floor "
+              << holder.floor_watts << " W";
+      check(false, message.str());
+      return;
     }
   }
   check(true, {});

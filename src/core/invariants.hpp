@@ -74,6 +74,11 @@ void check_class_budget_conserved(std::span<const ClassAllocationView> jobs,
 /// No class inversion: a job starved below its guaranteed watts may only
 /// coexist with *lower*-class jobs that sit at their floors — a lower
 /// class must never hold discretionary watts a higher class needs.
+/// Linear in the job count: one pass finds the lowest rank holding watts
+/// above its floor, a second flags the first starved job ranked above it,
+/// and only a violation rescans for the holder to name. The message is the
+/// pair a job-by-job quadratic scan meets first; that scan is kept as the
+/// oracle in tests/core/class_invariants_test.cpp.
 void check_no_class_inversion(std::span<const ClassAllocationView> jobs,
                               std::string_view where);
 

@@ -342,6 +342,7 @@ void PowerDaemon::close_session(int fd, NetSession& session,
     }
     if (session.is_rack && stats_.rack_sessions > 0) {
       --stats_.rack_sessions;
+      stats_.rack_jobs -= session.rack_jobs.size();
     }
   }
   options_.obs.count("net.daemon.sessions_closed");
@@ -472,9 +473,9 @@ void PowerDaemon::evict_job(const std::string& name) {
       // stall, quarantine) must not sever the aggregator's link and take
       // the whole rack down with it. Unbind the job and keep serving the
       // rest of the rack.
-      session->rack_jobs.erase(std::remove(session->rack_jobs.begin(),
-                                           session->rack_jobs.end(), name),
-                               session->rack_jobs.end());
+      const std::size_t unbound = std::erase(session->rack_jobs, name);
+      const std::lock_guard<std::mutex> lock(shared_mutex_);
+      stats_.rack_jobs -= unbound;
     } else if (sessions_.remove(record.session_fd)) {
       const std::lock_guard<std::mutex> lock(shared_mutex_);
       ++stats_.sessions_closed;
@@ -524,7 +525,7 @@ void PowerDaemon::handle_frame(int fd, NetSession& session,
   handle_sample_frame(fd, session, core::parse_sample_message(payload));
 }
 
-PowerDaemon::JobRecord& PowerDaemon::bind_job_record(
+PowerDaemon::JobBinding PowerDaemon::bind_job_record(
     int fd, const std::string& job_name) {
   const auto now = Clock::now();
   const auto quarantined = quarantine_.find(job_name);
@@ -543,28 +544,29 @@ PowerDaemon::JobRecord& PowerDaemon::bind_job_record(
       stats_.quarantine_entries = quarantine_.size();
     }
   }
-  auto it = jobs_.find(job_name);
-  if (it != jobs_.end()) {
-    // A rack session re-binds its own jobs every round (fd already
-    // bound); only a *different* live session is a registration clash.
-    PS_REQUIRE(it->second.session_fd < 0 || it->second.session_fd == fd,
-               "job '" + job_name + "' is already registered");
-    if (it->second.session_fd != fd) {
-      it->second.session_fd = fd;
-      {
-        const std::lock_guard<std::mutex> lock(shared_mutex_);
-        ++stats_.sessions_rehydrated;
-      }
-      options_.obs.count("net.daemon.sessions_rehydrated");
-      options_.obs.emit(completed_rounds(), obs::cat::kNetIo, "rehydrate",
-                        {{"job", job_name}});
-    }
-  } else {
+  const auto it = jobs_.find(job_name);
+  if (it == jobs_.end()) {
     JobRecord record;
     record.session_fd = fd;
-    it = jobs_.emplace(job_name, std::move(record)).first;
+    return {jobs_.emplace(job_name, std::move(record)).first->second, true};
   }
-  return it->second;
+  JobRecord& record = it->second;
+  // A rack session re-binds its own jobs every round (fd already bound);
+  // only a *different* live session is a registration clash.
+  PS_REQUIRE(record.session_fd < 0 || record.session_fd == fd,
+             "job '" + job_name + "' is already registered");
+  if (record.session_fd == fd) {
+    return {record, false};
+  }
+  record.session_fd = fd;
+  {
+    const std::lock_guard<std::mutex> lock(shared_mutex_);
+    ++stats_.sessions_rehydrated;
+  }
+  options_.obs.count("net.daemon.sessions_rehydrated");
+  options_.obs.emit(completed_rounds(), obs::cat::kNetIo, "rehydrate",
+                    {{"job", job_name}});
+  return {record, true};
 }
 
 void PowerDaemon::send_budget_resync(int fd, NetSession& session) {
@@ -666,10 +668,12 @@ void PowerDaemon::handle_rack_frame(int fd, NetSession& session,
   resend.rack = session.rack_name;
   for (core::SampleMessage& sample : rack.samples) {
     const std::string job_name = sample.job_name;
-    JobRecord& record = bind_job_record(fd, job_name);
-    if (std::find(session.rack_jobs.begin(), session.rack_jobs.end(),
-                  job_name) == session.rack_jobs.end()) {
+    const JobBinding binding = bind_job_record(fd, job_name);
+    JobRecord& record = binding.record;
+    if (binding.attached) {
       session.rack_jobs.push_back(job_name);
+      const std::lock_guard<std::mutex> lock(shared_mutex_);
+      ++stats_.rack_jobs;
     }
     if (offer_sample(record, std::move(sample), now)) {
       add_to_rack_reply(resend, stored_policy(job_name, record));

@@ -182,6 +182,7 @@ struct DaemonStats {
 
   /// Hierarchical-coordination accounting (root mode).
   std::size_t rack_sessions = 0;        ///< Registered racks, current.
+  std::size_t rack_jobs = 0;  ///< Jobs bound through rack sessions, current.
   std::size_t rack_frames_received = 0; ///< Aggregate sample frames in.
   std::size_t rack_policies_sent = 0;   ///< Batched policy frames out.
   std::size_t rack_policies_resent = 0; ///< Batched stored-cap resends.
@@ -283,8 +284,15 @@ class PowerDaemon {
                            core::SampleMessage sample);
   void handle_rack_frame(int fd, NetSession& session,
                          const std::string& payload);
+  /// What bind_job_record did: the job's record, and whether this call
+  /// attached it to the fd (a new record, or one re-bound from another
+  /// session or from grace) rather than finding it already bound there.
+  struct JobBinding {
+    JobRecord& record;
+    bool attached = false;
+  };
   /// Quarantine gate + job-record attach for one sample's job.
-  JobRecord& bind_job_record(int fd, const std::string& job_name);
+  JobBinding bind_job_record(int fd, const std::string& job_name);
   /// Registration-time budget-epoch resync push (throws if the push
   /// kills the session).
   void send_budget_resync(int fd, NetSession& session);

@@ -8,16 +8,34 @@ namespace ps::net {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: tables[0] is the classic byte table; tables[k][b]
+/// is the CRC register after byte b and then k zero bytes, so eight
+/// lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t value = i;
     for (int bit = 0; bit < 8; ++bit) {
       value = (value & 1u) != 0 ? 0xEDB88320u ^ (value >> 1) : value >> 1;
     }
-    table[i] = value;
+    tables[0][i] = value;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t previous = tables[k - 1][i];
+      tables[k][i] = tables[0][previous & 0xffu] ^ (previous >> 8);
+    }
+  }
+  return tables;
+}
+
+std::uint32_t load_le32(const unsigned char* bytes) {
+  return static_cast<std::uint32_t>(bytes[0]) |
+         (static_cast<std::uint32_t>(bytes[1]) << 8) |
+         (static_cast<std::uint32_t>(bytes[2]) << 16) |
+         (static_cast<std::uint32_t>(bytes[3]) << 24);
 }
 
 void append_be32(std::string& out, std::uint32_t value) {
@@ -38,10 +56,20 @@ std::uint32_t read_be32(std::string_view bytes, std::size_t offset) {
 }  // namespace
 
 std::uint32_t crc32(std::string_view bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables tables = make_crc_tables();
+  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t size = bytes.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char c : bytes) {
-    crc = table[(crc ^ static_cast<unsigned char>(c)) & 0xffu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t low = crc ^ load_le32(data);
+    const std::uint32_t high = load_le32(data + 4);
+    crc = tables[7][low & 0xffu] ^ tables[6][(low >> 8) & 0xffu] ^
+          tables[5][(low >> 16) & 0xffu] ^ tables[4][low >> 24] ^
+          tables[3][high & 0xffu] ^ tables[2][(high >> 8) & 0xffu] ^
+          tables[1][(high >> 16) & 0xffu] ^ tables[0][high >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = tables[0][(crc ^ *data) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

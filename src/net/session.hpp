@@ -41,7 +41,12 @@ struct NetSession {
   /// many jobs' traffic in batched frames.
   bool is_rack = false;
   std::string rack_name;
-  std::vector<std::string> rack_jobs;  ///< Jobs bound through this rack.
+  /// Jobs bound through this rack. Owner invariant: a name is listed here
+  /// exactly when its job record's session fd is this session's fd — the
+  /// daemon appends only when a bind attaches the job to this fd, and
+  /// unbinding (eviction, the rack's close) removes it — so membership
+  /// needs no search.
+  std::vector<std::string> rack_jobs;
   std::chrono::steady_clock::time_point last_activity;
 };
 

@@ -5,7 +5,9 @@
 // next allocation would overspend). Also covers the rack-session variant
 // of the same audit: evicting one job bound through a rack session must
 // unbind that job without closing the rack session the surviving jobs
-// still depend on. The last cases pin the shared session layer's own
+// still depend on, and a rack session must list each job it binds once,
+// so a close puts every job into grace and expiry reclaims each once.
+// The last cases pin the shared session layer's own
 // semantics: read dispatch order, the would-block write path, and the
 // idle sweep sparing the aggregator's parent link.
 #include <gtest/gtest.h>
@@ -340,6 +342,107 @@ TEST(BatchedWriteTest, RackJobEvictionUnbindsWithoutClosingRackSession) {
   EXPECT_LE(total, budget + 1e-6);
 
   rack.close();
+  root.stop();
+  serving.join();
+  std::remove(socket_path.c_str());
+}
+
+/// Sends one rack frame carrying `jobs` at `sequence` and returns the
+/// batched reply, which must name every job.
+core::RackPolicyMessage rack_round(Socket& rack, FrameDecoder& decoder,
+                                   const std::vector<std::string>& jobs,
+                                   std::uint64_t sequence) {
+  core::RackSampleMessage frame;
+  frame.rack = "r0";
+  frame.round = sequence;
+  for (const std::string& job : jobs) {
+    frame.samples.push_back(make_sample(job, sequence));
+  }
+  send_payload(rack, serialize(frame, core::WireFidelity::kExact));
+  const std::optional<std::string> reply =
+      read_payload(rack, decoder, milliseconds(5000));
+  if (!reply.has_value()) {
+    ADD_FAILURE() << "no reply to rack round " << sequence;
+    return {};
+  }
+  core::RackPolicyMessage policy = core::parse_rack_policy_message(*reply);
+  EXPECT_EQ(policy.policies.size(), jobs.size()) << "round " << sequence;
+  return policy;
+}
+
+TEST(BatchedWriteTest, RackListsEachJobOnceThroughGraceRebindAndExpiry) {
+  // A rack session lists each job it binds exactly once: re-sent jobs
+  // are not listed again, a new job is, and the list is what a close
+  // puts into grace. Grace, re-bind on reconnect and expiry must then
+  // each touch every job exactly once.
+  constexpr std::size_t kJobs = 6;
+  DaemonOptions options;
+  options.system_budget_watts = 2.0 * 210.0 * (kJobs + 1);
+  options.node_tdp_watts = 256.0;
+  options.uncappable_watts = 16.0;
+  options.min_jobs = kJobs;
+  options.tick_interval = milliseconds(10);
+  options.reclaim_timeout = milliseconds(500);
+  options.heartbeat_timeout = milliseconds(60'000);
+  options.root_mode = true;
+  PowerDaemon root(options);
+  const std::string socket_path = unique_path("membership");
+  root.listen_unix(socket_path);
+  std::thread serving([&root] { root.run(); });
+
+  std::vector<std::string> jobs;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    jobs.push_back("job-" + std::to_string(j));
+  }
+  {
+    Socket rack = connect_unix(socket_path);
+    FrameDecoder decoder;
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      rack_round(rack, decoder, jobs, round);
+      EXPECT_EQ(root.stats().rack_jobs, kJobs) << "round " << round;
+    }
+    jobs.push_back("job-new");  // rack frames are name-ordered; it sorts last
+    rack_round(rack, decoder, jobs, 3);
+    EXPECT_EQ(root.stats().rack_jobs, kJobs + 1);
+    rack.close();
+  }
+  EXPECT_TRUE(wait_for([&] { return root.stats().rack_sessions == 0; },
+                       milliseconds(5000)));
+  DaemonStats stats = root.stats();
+  EXPECT_EQ(stats.rack_jobs, 0u);
+  EXPECT_EQ(stats.jobs_evicted, 0u);
+  EXPECT_EQ(stats.sessions_rehydrated, 0u);
+
+  // Reconnect within grace: every job of the closed rack re-binds.
+  double stored_watts = 0.0;
+  {
+    Socket rack = connect_unix(socket_path);
+    FrameDecoder decoder;
+    const core::RackPolicyMessage reply = rack_round(rack, decoder, jobs, 4);
+    for (const core::PolicyMessage& policy : reply.policies) {
+      for (const double cap : policy.host_caps_watts) {
+        stored_watts += cap;
+      }
+    }
+    stats = root.stats();
+    EXPECT_EQ(stats.sessions_rehydrated, kJobs + 1);
+    EXPECT_EQ(stats.rack_jobs, kJobs + 1);
+    EXPECT_EQ(stats.jobs_evicted, 0u);
+    rack.close();
+  }
+
+  // Close again and let grace expire: each job is evicted once, and the
+  // reclaimed watts are exactly the caps the rack last held.
+  EXPECT_TRUE(
+      wait_for([&] { return root.stats().jobs_evicted >= kJobs + 1; },
+               milliseconds(5000)));
+  std::this_thread::sleep_for(milliseconds(100));  // ~10 more ticks
+  stats = root.stats();
+  EXPECT_EQ(stats.jobs_evicted, kJobs + 1);
+  EXPECT_EQ(stats.rack_jobs, 0u);
+  EXPECT_NEAR(stats.watts_reclaimed, stored_watts, 1e-6);
+  EXPECT_GT(stored_watts, 0.0);
+
   root.stop();
   serving.join();
   std::remove(socket_path.c_str());

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/error.hpp"
@@ -72,6 +73,38 @@ TEST(FramingTest, ChecksumRoundTrips) {
   // Known-answer test: CRC-32 ("IEEE") of "123456789" is 0xCBF43926.
   EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(crc32(""), 0x00000000u);
+}
+
+/// Table-free CRC-32: one polynomial step per bit, the definition the
+/// table-driven crc32 must reproduce.
+std::uint32_t bitwise_crc32(std::string_view bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char c : bytes) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(FramingTest, ChecksumMatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length through 256 at every start offset within an 8-byte word
+  // covers each split between the 8-byte folds and the byte tail, aligned
+  // or not.
+  std::string buffer(8 + 256, '\0');
+  std::uint32_t state = 0x2545F491u;
+  for (char& c : buffer) {
+    state = state * 1664525u + 1013904223u;
+    c = static_cast<char>(state >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 256; ++length) {
+      const std::string_view bytes(buffer.data() + offset, length);
+      ASSERT_EQ(crc32(bytes), bitwise_crc32(bytes))
+          << "offset " << offset << ", length " << length;
+    }
+  }
 }
 
 TEST(FramingTest, RejectsCorruptedPayload) {

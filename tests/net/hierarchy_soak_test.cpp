@@ -14,11 +14,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/endpoint.hpp"
@@ -55,7 +57,7 @@ std::string unique_path(const std::string& tag) {
 }
 
 std::string job_name(std::size_t index) {
-  char buffer[16];
+  char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "job-%04zu", index);
   return buffer;
 }
@@ -70,6 +72,20 @@ core::SampleMessage make_sample(const std::string& job,
   sample.host_needed_watts = {225.0};
   return sample;
 }
+
+/// Runs `cleanup` on every exit from the enclosing scope, including the
+/// early return of a failed ASSERT.
+class ScopeExit {
+ public:
+  explicit ScopeExit(std::function<void()> cleanup)
+      : cleanup_(std::move(cleanup)) {}
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
+  ~ScopeExit() { cleanup_(); }
+
+ private:
+  std::function<void()> cleanup_;
+};
 
 /// One scripted client: a connected socket, its decoder, and the last
 /// caps it was granted. All I/O is driven by the test thread.
@@ -127,6 +143,10 @@ TEST(HierarchySoakTest, TreeSurvivesScaleAndMassDisconnectWithoutLeaking) {
   const core::invariants::Mode previous_mode = core::invariants::mode();
   core::invariants::set_mode(core::invariants::Mode::kFatal);
   core::invariants::reset();
+  const ScopeExit restore_invariants([previous_mode] {
+    core::invariants::reset();
+    core::invariants::set_mode(previous_mode);
+  });
 
   obs::MetricsRegistry root_metrics;
   obs::MetricsRegistry rack_metrics;  // shared by all 8 aggregators
@@ -143,12 +163,35 @@ TEST(HierarchySoakTest, TreeSurvivesScaleAndMassDisconnectWithoutLeaking) {
   root_options.obs.metrics = &root_metrics;
   PowerDaemon root(root_options);
   const std::string root_path = unique_path("root");
-  root.listen_unix(root_path);
-  std::thread root_thread([&root] { root.run(); });
-
+  std::thread root_thread;
   std::vector<std::unique_ptr<AggregatorDaemon>> aggregators;
   std::vector<std::thread> aggregator_threads;
   std::vector<std::string> rack_paths;
+  // Stops and joins every daemon thread however the body exits: after a
+  // failed ASSERT a still-joinable std::thread would abort the binary
+  // instead of letting gtest report the failure. Idempotent.
+  const auto stop_daemons = [&] {
+    for (auto& aggregator : aggregators) {
+      aggregator->stop();
+    }
+    for (std::thread& thread : aggregator_threads) {
+      if (thread.joinable()) {
+        thread.join();
+      }
+    }
+    root.stop();
+    if (root_thread.joinable()) {
+      root_thread.join();
+    }
+    std::remove(root_path.c_str());
+    for (const std::string& path : rack_paths) {
+      std::remove(path.c_str());
+    }
+  };
+  const ScopeExit stop_on_exit(stop_daemons);
+  root.listen_unix(root_path);
+  root_thread = std::thread([&root] { root.run(); });
+
   for (std::size_t r = 0; r < kRacks; ++r) {
     AggregatorOptions options;
     options.rack = "rack" + std::to_string(r);
@@ -257,18 +300,7 @@ TEST(HierarchySoakTest, TreeSurvivesScaleAndMassDisconnectWithoutLeaking) {
   for (std::size_t i = 0; i < per_rack; ++i) {
     clients[i].socket.close();
   }
-  for (auto& aggregator : aggregators) {
-    aggregator->stop();
-  }
-  for (std::thread& thread : aggregator_threads) {
-    thread.join();
-  }
-  root.stop();
-  root_thread.join();
-  std::remove(root_path.c_str());
-  for (const std::string& path : rack_paths) {
-    std::remove(path.c_str());
-  }
+  stop_daemons();
 
   // Per-level round-latency histograms (the src/obs satellite): the root
   // observed every completed allocation round; the aggregators observed
@@ -315,8 +347,6 @@ TEST(HierarchySoakTest, TreeSurvivesScaleAndMassDisconnectWithoutLeaking) {
   }
 
   EXPECT_EQ(core::invariants::stats().violations, 0u);
-  core::invariants::reset();
-  core::invariants::set_mode(previous_mode);
 }
 
 }  // namespace
