@@ -312,7 +312,7 @@ net::DaemonSnapshot bench_snapshot(std::size_t jobs, std::size_t hosts) {
 }
 
 /// The write-ahead snapshot's CPU cost per allocation round: serialize
-/// (checksummed text) plus the restart-side parse/validate, in memory.
+/// (checksummed binary) plus the restart-side parse/validate, in memory.
 void BM_SnapshotSerializeRestore(benchmark::State& state) {
   const net::DaemonSnapshot snapshot =
       bench_snapshot(static_cast<std::size_t>(state.range(0)), 100);

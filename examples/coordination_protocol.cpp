@@ -1,5 +1,5 @@
 // The RM <-> runtime coordination protocol, end to end: two "job
-// runtimes" and one "resource manager" exchange versioned messages over
+// runtimes" and one "resource manager" exchange binary messages over
 // an endpoint (stand-in for a socket or shared memory), repeating the
 // sample -> allocate -> apply cycle the paper's conclusion proposes.
 //
@@ -8,7 +8,9 @@
 
 #include "core/endpoint.hpp"
 #include "core/policies.hpp"
+#include "net/framing.hpp"
 #include "sim/cluster.hpp"
+#include "sim/sla.hpp"
 #include "util/strings.hpp"
 
 int main() {
@@ -70,10 +72,28 @@ int main() {
                 util::format_watts(job_b.total_allocated_power()).c_str());
   }
 
-  std::printf("\nOne sample message on the wire:\n\n%s\n",
-              core::serialize(core::make_sample(job_a, 4)).c_str());
-  std::printf("Everything the MixedAdaptive policy needs crosses the "
-              "endpoint in two small,\nversioned messages per job per "
-              "epoch — the protocol the paper's conclusion\ncalls for.\n");
+  // One sample as it crosses a socket: the framed binary payload, and
+  // the fields a receiver decodes from it.
+  const std::string frame =
+      net::encode_frame(core::serialize(core::make_sample(job_a, 4)));
+  net::FrameDecoder decoder;
+  decoder.feed(frame);
+  const core::SampleMessage decoded =
+      core::parse_sample_message(decoder.next().value());
+  std::printf("\nOne sample message on the wire: %zu bytes framed\n",
+              frame.size());
+  std::printf("  sequence %llu, job %s, class %s, min cap %s\n",
+              static_cast<unsigned long long>(decoded.sequence),
+              decoded.job_name.c_str(),
+              std::string(sim::to_string(decoded.sla_class)).c_str(),
+              util::format_watts(decoded.min_settable_cap_watts).c_str());
+  for (std::size_t h = 0; h < decoded.host_observed_watts.size(); ++h) {
+    std::printf("  host %zu: observed %s, needed %s\n", h,
+                util::format_watts(decoded.host_observed_watts[h]).c_str(),
+                util::format_watts(decoded.host_needed_watts[h]).c_str());
+  }
+  std::printf("\nEverything the MixedAdaptive policy needs crosses the "
+              "endpoint in two small\nmessages per job per epoch — the "
+              "protocol the paper's conclusion calls for.\n");
   return 0;
 }

@@ -1,447 +1,256 @@
 #include "core/endpoint.hpp"
 
-#include <charconv>
+#include <algorithm>
 #include <cmath>
-#include <sstream>
 
+#include "core/wire.hpp"
 #include "runtime/power_balancer_agent.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
-#include "util/table.hpp"
 
 namespace ps::core {
 
 namespace {
 
-std::string format_value(double value, WireFidelity fidelity) {
-  if (fidelity == WireFidelity::kDisplay) {
-    return util::format_fixed(value, 3);
+/// Smallest encodings of an embedded message (tag excluded), the bound a
+/// rack frame's job count is checked against: a one-host single-domain
+/// sample with a one-byte name is sequence 1 + name 2 + min_cap 8 +
+/// observed 9 + needed 9 + GPU range 16 + two empty GPU vectors 2 +
+/// class 1; a policy is sequence 1 + name 2 + caps 9 + gpu_caps 1 +
+/// epoch 1 + fence 1.
+constexpr std::size_t kMinSampleBytes = 48;
+constexpr std::size_t kMinPolicyBytes = 15;
+
+void write_sample(wire::Writer& out, const SampleMessage& message) {
+  out.varint(message.sequence);
+  out.string(message.job_name);
+  out.f64(message.min_settable_cap_watts);
+  out.f64s(message.host_observed_watts);
+  out.f64s(message.host_needed_watts);
+  out.f64(message.gpu_min_cap_watts);
+  out.f64(message.gpu_tdp_watts);
+  out.f64s(message.host_gpu_observed_watts);
+  out.f64s(message.host_gpu_needed_watts);
+  out.byte(static_cast<std::uint8_t>(message.sla_class));
+}
+
+SampleMessage read_sample(wire::Reader& in) {
+  SampleMessage message;
+  message.sequence = in.varint();
+  message.job_name = in.name();
+  message.min_settable_cap_watts = in.watts();
+  message.host_observed_watts = in.watts_vector();
+  message.host_needed_watts = in.watts_vector();
+  const std::size_t hosts = message.host_observed_watts.size();
+  PS_REQUIRE(hosts > 0, "sample message has no hosts");
+  PS_REQUIRE(message.host_needed_watts.size() == hosts,
+             "sample vectors disagree on host count");
+  message.gpu_min_cap_watts = in.watts();
+  message.gpu_tdp_watts = in.watts();
+  message.host_gpu_observed_watts = in.watts_vector();
+  message.host_gpu_needed_watts = in.watts_vector();
+  if (message.host_gpu_observed_watts.empty() &&
+      message.host_gpu_needed_watts.empty()) {
+    PS_REQUIRE(message.gpu_min_cap_watts == 0.0 &&
+                   message.gpu_tdp_watts == 0.0,
+               "a single-domain sample carries no GPU range");
+  } else {
+    PS_REQUIRE(message.host_gpu_observed_watts.size() == hosts &&
+                   message.host_gpu_needed_watts.size() == hosts,
+               "GPU sample vectors disagree on host count");
+    PS_REQUIRE(message.gpu_min_cap_watts > 0.0 &&
+                   message.gpu_min_cap_watts <= message.gpu_tdp_watts,
+               "GPU cap range must satisfy 0 < min <= TDP");
   }
-  char buffer[32];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  PS_REQUIRE(ec == std::errc{}, "unencodable watt value");
-  return std::string(buffer, ptr);
+  const std::uint8_t sla_class = in.byte();
+  PS_REQUIRE(sla_class < sim::kSlaClassCount, "unknown SLA class");
+  message.sla_class = static_cast<sim::SlaClass>(sla_class);
+  return message;
 }
 
-void serialize_vector(std::ostringstream& out, std::string_view key,
-                      const std::vector<double>& values,
-                      WireFidelity fidelity) {
-  out << key;
-  for (double value : values) {
-    out << ' ' << format_value(value, fidelity);
-  }
-  out << '\n';
+void write_policy(wire::Writer& out, const PolicyMessage& message) {
+  out.varint(message.sequence);
+  out.string(message.job_name);
+  out.f64s(message.host_caps_watts);
+  out.f64s(message.host_gpu_caps_watts);
+  out.varint(message.budget_epoch);
+  out.varint(message.fence_epoch);
 }
 
-/// Strict full-token watt parse: rejects trailing garbage, non-finite
-/// values (NaN/inf), and negative watts.
-double parse_watts(std::string_view token, std::string_view what) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size(),
-             "non-numeric " + std::string(what) + " field");
-  PS_REQUIRE(std::isfinite(value),
-             std::string(what) + " must be finite");
-  PS_REQUIRE(value >= 0.0, std::string(what) + " must be non-negative");
-  return value;
+PolicyMessage read_policy(wire::Reader& in) {
+  PolicyMessage message;
+  message.sequence = in.varint();
+  message.job_name = in.name();
+  message.host_caps_watts = in.watts_vector();
+  PS_REQUIRE(!message.host_caps_watts.empty(),
+             "policy message has no hosts");
+  message.host_gpu_caps_watts = in.watts_vector();
+  PS_REQUIRE(message.host_gpu_caps_watts.empty() ||
+                 message.host_gpu_caps_watts.size() ==
+                     message.host_caps_watts.size(),
+             "GPU caps disagree on host count");
+  message.budget_epoch = in.varint();
+  message.fence_epoch = in.varint();
+  return message;
 }
 
-std::uint64_t parse_keyed_uint(std::string_view line, std::string_view key) {
-  PS_REQUIRE(util::starts_with(line, key) && line.size() > key.size() + 1 &&
-                 line[key.size()] == ' ',
-             "expected '" + std::string(key) + "' line");
-  const std::string_view token = line.substr(key.size() + 1);
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size(),
-             "non-numeric " + std::string(key) + " field");
-  return value;
-}
-
-std::uint64_t parse_sequence(std::string_view line) {
-  return parse_keyed_uint(line, "sequence");
-}
-
-std::string parse_job_name(std::string_view line) {
-  PS_REQUIRE(util::starts_with(line, "job "), "expected 'job' line");
-  const std::string_view name = util::trim(line.substr(4));
-  PS_REQUIRE(!name.empty(), "empty job name");
-  return std::string(name);
-}
-
-std::vector<double> parse_vector(std::string_view line,
-                                 std::string_view key) {
-  PS_REQUIRE(util::starts_with(line, key),
-             "expected '" + std::string(key) + "' line");
-  std::vector<double> values;
-  for (const std::string& token :
-       util::split(line.substr(key.size()), ' ')) {
-    if (token.empty()) {
-      continue;
-    }
-    values.push_back(parse_watts(token, key));
-  }
-  return values;
-}
-
-std::vector<std::string> non_empty_lines(std::string_view text) {
-  std::vector<std::string> lines;
-  for (const std::string& line : util::split(text, '\n')) {
-    if (!util::trim(line).empty()) {
-      lines.push_back(line);
-    }
-  }
-  return lines;
-}
-
-std::string parse_rack_name(std::string_view line) {
-  PS_REQUIRE(util::starts_with(line, "rack "), "expected 'rack' line");
-  const std::string_view name = util::trim(line.substr(5));
-  PS_REQUIRE(!name.empty(), "empty rack name");
-  PS_REQUIRE(name.find(' ') == std::string_view::npos,
+std::string read_rack_name(wire::Reader& in) {
+  std::string rack = in.name();
+  PS_REQUIRE(rack.find(' ') == std::string::npos,
              "rack name must be a single token");
-  return std::string(name);
-}
-
-/// Re-joins `count` lines starting at `next` into one embedded message
-/// body, guarding against blocks that claim more lines than the frame
-/// holds (the torn-frame case).
-std::string take_block(const std::vector<std::string>& lines,
-                       std::size_t next, std::uint64_t count,
-                       std::string_view what) {
-  PS_REQUIRE(count > 0, std::string(what) + " block must not be empty");
-  PS_REQUIRE(count <= lines.size() - next,
-             std::string(what) + " block overruns the frame");
-  std::string block;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    block += lines[next + i];
-    block += '\n';
-  }
-  return block;
+  return rack;
 }
 
 }  // namespace
 
-std::string serialize(const SampleMessage& message, WireFidelity fidelity) {
-  std::ostringstream out;
-  out << (message.has_gpu_domain() ? "powerstack-sample v3\n"
-                                   : "powerstack-sample v1\n");
-  out << "sequence " << message.sequence << '\n';
-  out << "job " << message.job_name << '\n';
-  out << "min_cap "
-      << format_value(message.min_settable_cap_watts, fidelity) << '\n';
-  serialize_vector(out, "observed", message.host_observed_watts, fidelity);
-  serialize_vector(out, "needed", message.host_needed_watts, fidelity);
-  if (message.has_gpu_domain()) {
-    out << "gpu_min_cap "
-        << format_value(message.gpu_min_cap_watts, fidelity) << '\n';
-    out << "gpu_tdp " << format_value(message.gpu_tdp_watts, fidelity)
-        << '\n';
-    serialize_vector(out, "gpu_observed", message.host_gpu_observed_watts,
-                     fidelity);
-    serialize_vector(out, "gpu_needed", message.host_gpu_needed_watts,
-                     fidelity);
-  }
-  if (message.sla_class != sim::SlaClass::kStandard) {
-    out << "sla_class " << sim::to_string(message.sla_class) << '\n';
-  }
-  return out.str();
+std::string serialize(const SampleMessage& message, WireFidelity) {
+  wire::Writer out(wire::Tag::kSample);
+  write_sample(out, message);
+  return std::move(out).take();
 }
 
-std::string serialize(const PolicyMessage& message, WireFidelity fidelity) {
-  std::ostringstream out;
-  out << (message.has_gpu_domain() ? "powerstack-policy v3\n"
-                                   : "powerstack-policy v1\n");
-  out << "sequence " << message.sequence << '\n';
-  out << "job " << message.job_name << '\n';
-  serialize_vector(out, "caps", message.host_caps_watts, fidelity);
-  if (message.has_gpu_domain()) {
-    serialize_vector(out, "gpu_caps", message.host_gpu_caps_watts, fidelity);
-  }
-  if (message.budget_epoch != 0) {
-    out << "budget_epoch " << message.budget_epoch << '\n';
-  }
-  if (message.fence_epoch != 0) {
-    out << "fence " << message.fence_epoch << '\n';
-  }
-  return out.str();
+std::string serialize(const PolicyMessage& message, WireFidelity) {
+  wire::Writer out(wire::Tag::kPolicy);
+  write_policy(out, message);
+  return std::move(out).take();
 }
 
-std::string serialize(const BudgetMessage& message, WireFidelity fidelity) {
-  std::ostringstream out;
-  out << "powerstack-budget v1\n";
-  out << "epoch " << message.epoch << '\n';
-  out << "budget " << format_value(message.budget_watts, fidelity) << '\n';
-  out << "emergency " << (message.emergency ? 1 : 0) << '\n';
-  return out.str();
+std::string serialize(const BudgetMessage& message, WireFidelity) {
+  wire::Writer out(wire::Tag::kBudget);
+  out.varint(message.epoch);
+  out.f64(message.budget_watts);
+  out.byte(message.emergency ? 1 : 0);
+  return std::move(out).take();
 }
 
-std::string serialize(const RackSampleMessage& message,
-                      WireFidelity fidelity) {
-  std::ostringstream out;
-  out << "powerstack-rack-sample v1\n";
-  out << "rack " << message.rack << '\n';
-  out << "round " << message.round << '\n';
-  out << "jobs " << message.samples.size() << '\n';
+std::string serialize(const RackSampleMessage& message, WireFidelity) {
+  wire::Writer out(wire::Tag::kRackSample);
+  out.string(message.rack);
+  out.varint(message.round);
+  out.varint(message.samples.size());
   for (const SampleMessage& sample : message.samples) {
-    const std::string body = serialize(sample, fidelity);
-    out << "sample " << non_empty_lines(body).size() << '\n' << body;
+    write_sample(out, sample);
   }
-  return out.str();
+  return std::move(out).take();
 }
 
-std::string serialize(const RackPolicyMessage& message,
-                      WireFidelity fidelity) {
-  std::ostringstream out;
-  out << "powerstack-rack-policy v1\n";
-  out << "rack " << message.rack << '\n';
-  out << "round " << message.round << '\n';
-  out << "rack_budget " << format_value(message.rack_budget_watts, fidelity)
-      << '\n';
-  out << "jobs " << message.policies.size() << '\n';
+std::string serialize(const RackPolicyMessage& message, WireFidelity) {
+  wire::Writer out(wire::Tag::kRackPolicy);
+  out.string(message.rack);
+  out.varint(message.round);
+  out.f64(message.rack_budget_watts);
+  out.varint(message.policies.size());
   for (const PolicyMessage& policy : message.policies) {
-    const std::string body = serialize(policy, fidelity);
-    out << "policy " << non_empty_lines(body).size() << '\n' << body;
+    write_policy(out, policy);
   }
-  return out.str();
+  return std::move(out).take();
 }
 
-SampleMessage parse_sample_message(std::string_view text) {
-  const std::vector<std::string> lines = non_empty_lines(text);
-  PS_REQUIRE(!lines.empty(), "empty sample message");
-  const bool v3 = lines[0] == "powerstack-sample v3";
-  PS_REQUIRE(v3 || lines[0] == "powerstack-sample v1",
-             "not a v1 or v3 sample message");
-  // The strict line count and fixed key order reject truncated or
-  // duplicated domain sections outright. One optional trailing
-  // `sla_class` line (absent = standard) follows the domain sections.
-  const std::size_t base = v3 ? 10u : 6u;
-  PS_REQUIRE(lines.size() == base || lines.size() == base + 1,
-             v3 ? "v3 sample message needs 10 or 11 lines"
-                : "sample message needs 6 or 7 lines");
-  SampleMessage message;
-  message.sequence = parse_sequence(lines[1]);
-  message.job_name = parse_job_name(lines[2]);
-  PS_REQUIRE(util::starts_with(lines[3], "min_cap "),
-             "expected 'min_cap' line");
-  message.min_settable_cap_watts =
-      parse_watts(util::trim(lines[3].substr(8)), "min_cap");
-  message.host_observed_watts = parse_vector(lines[4], "observed");
-  message.host_needed_watts = parse_vector(lines[5], "needed");
-  PS_REQUIRE(message.host_observed_watts.size() ==
-                 message.host_needed_watts.size(),
-             "sample vectors disagree on host count");
-  PS_REQUIRE(!message.host_observed_watts.empty(),
-             "sample message has no hosts");
-  if (v3) {
-    PS_REQUIRE(util::starts_with(lines[6], "gpu_min_cap "),
-               "expected 'gpu_min_cap' line");
-    message.gpu_min_cap_watts =
-        parse_watts(util::trim(lines[6].substr(12)), "gpu_min_cap");
-    PS_REQUIRE(util::starts_with(lines[7], "gpu_tdp "),
-               "expected 'gpu_tdp' line");
-    message.gpu_tdp_watts =
-        parse_watts(util::trim(lines[7].substr(8)), "gpu_tdp");
-    PS_REQUIRE(message.gpu_min_cap_watts > 0.0 &&
-                   message.gpu_min_cap_watts <= message.gpu_tdp_watts,
-               "GPU cap range must satisfy 0 < min <= TDP");
-    message.host_gpu_observed_watts =
-        parse_vector(lines[8], "gpu_observed");
-    message.host_gpu_needed_watts = parse_vector(lines[9], "gpu_needed");
-    PS_REQUIRE(message.host_gpu_observed_watts.size() ==
-                       message.host_observed_watts.size() &&
-                   message.host_gpu_needed_watts.size() ==
-                       message.host_observed_watts.size(),
-               "GPU sample vectors disagree on host count");
-  }
-  // Optional trailing line, only in its explicit (non-standard) form —
-  // the standard case is the line's absence (the pre-SLA wire).
-  if (lines.size() == base + 1) {
-    PS_REQUIRE(util::starts_with(lines[base], "sla_class "),
-               "expected 'sla_class' line");
-    message.sla_class =
-        sim::parse_sla_class(util::trim(lines[base].substr(10)));
-    PS_REQUIRE(message.sla_class != sim::SlaClass::kStandard,
-               "explicit sla_class must be non-standard");
-  }
+SampleMessage parse_sample_message(std::string_view payload) {
+  wire::Reader in(payload, wire::Tag::kSample);
+  SampleMessage message = read_sample(in);
+  in.finish();
   return message;
 }
 
-PolicyMessage parse_policy_message(std::string_view text) {
-  const std::vector<std::string> lines = non_empty_lines(text);
-  PS_REQUIRE(!lines.empty(), "empty policy message");
-  const bool v3 = lines[0] == "powerstack-policy v3";
-  PS_REQUIRE(v3 || lines[0] == "powerstack-policy v1",
-             "not a v1 or v3 policy message");
-  const std::size_t base = v3 ? 5 : 4;
-  PS_REQUIRE(lines.size() >= base && lines.size() <= base + 2,
-             v3 ? "v3 policy message needs 5 to 7 lines"
-                : "policy message needs 4 to 6 lines");
-  PolicyMessage message;
-  message.sequence = parse_sequence(lines[1]);
-  message.job_name = parse_job_name(lines[2]);
-  message.host_caps_watts = parse_vector(lines[3], "caps");
-  PS_REQUIRE(!message.host_caps_watts.empty(),
-             "policy message has no hosts");
-  if (v3) {
-    message.host_gpu_caps_watts = parse_vector(lines[4], "gpu_caps");
-    PS_REQUIRE(message.host_gpu_caps_watts.size() ==
-                   message.host_caps_watts.size(),
-               "GPU caps disagree on host count");
-  }
-  // Optional trailing lines, fixed order, each at most once, and only in
-  // its explicit (non-zero) form — the zero case is the line's absence.
-  std::size_t next = base;
-  if (next < lines.size() && util::starts_with(lines[next], "budget_epoch ")) {
-    message.budget_epoch = parse_keyed_uint(lines[next], "budget_epoch");
-    PS_REQUIRE(message.budget_epoch != 0,
-               "explicit budget_epoch must be non-zero");
-    ++next;
-  }
-  if (next < lines.size() && util::starts_with(lines[next], "fence ")) {
-    message.fence_epoch = parse_keyed_uint(lines[next], "fence");
-    PS_REQUIRE(message.fence_epoch != 0,
-               "explicit fence must be non-zero");
-    ++next;
-  }
-  PS_REQUIRE(next == lines.size(),
-             "unexpected trailing line in policy message");
+PolicyMessage parse_policy_message(std::string_view payload) {
+  wire::Reader in(payload, wire::Tag::kPolicy);
+  PolicyMessage message = read_policy(in);
+  in.finish();
   return message;
 }
 
-BudgetMessage parse_budget_message(std::string_view text) {
-  const std::vector<std::string> lines = non_empty_lines(text);
-  PS_REQUIRE(lines.size() == 4, "budget message needs 4 lines");
-  PS_REQUIRE(lines[0] == "powerstack-budget v1",
-             "not a v1 budget message");
+BudgetMessage parse_budget_message(std::string_view payload) {
+  wire::Reader in(payload, wire::Tag::kBudget);
   BudgetMessage message;
-  message.epoch = parse_keyed_uint(lines[1], "epoch");
+  message.epoch = in.varint();
   PS_REQUIRE(message.epoch != 0, "budget epoch must be non-zero");
-  PS_REQUIRE(util::starts_with(lines[2], "budget "),
-             "expected 'budget' line");
-  message.budget_watts =
-      parse_watts(util::trim(lines[2].substr(7)), "budget");
+  message.budget_watts = in.watts();
   PS_REQUIRE(message.budget_watts > 0.0, "budget must be positive");
-  const std::uint64_t emergency = parse_keyed_uint(lines[3], "emergency");
-  PS_REQUIRE(emergency <= 1, "emergency must be 0 or 1");
-  message.emergency = emergency == 1;
+  message.emergency = in.flag();
+  in.finish();
   return message;
 }
 
-RackSampleMessage parse_rack_sample_message(std::string_view text) {
-  const std::vector<std::string> lines = non_empty_lines(text);
-  PS_REQUIRE(lines.size() >= 4, "truncated rack sample message");
-  PS_REQUIRE(lines[0] == "powerstack-rack-sample v1",
-             "not a v1 rack sample message");
+RackSampleMessage parse_rack_sample_message(std::string_view payload) {
+  wire::Reader in(payload, wire::Tag::kRackSample);
   RackSampleMessage message;
-  message.rack = parse_rack_name(lines[1]);
-  message.round = parse_keyed_uint(lines[2], "round");
-  const std::uint64_t jobs = parse_keyed_uint(lines[3], "jobs");
+  message.rack = read_rack_name(in);
+  message.round = in.varint();
+  const std::uint64_t jobs = in.count(kMinSampleBytes);
   PS_REQUIRE(jobs > 0, "rack sample message has no jobs");
-  std::size_t next = 4;
-  std::uint64_t max_sequence = 0;
   message.samples.reserve(jobs);
+  std::uint64_t max_sequence = 0;
   for (std::uint64_t j = 0; j < jobs; ++j) {
-    PS_REQUIRE(next < lines.size(),
-               "rack sample message truncated before its block prefix");
-    const std::uint64_t count = parse_keyed_uint(lines[next], "sample");
-    ++next;
-    SampleMessage sample =
-        parse_sample_message(take_block(lines, next, count, "sample"));
-    next += count;
+    SampleMessage sample = read_sample(in);
     PS_REQUIRE(message.samples.empty() ||
                    message.samples.back().job_name < sample.job_name,
                "rack samples must be unique and name-ordered");
     max_sequence = std::max(max_sequence, sample.sequence);
     message.samples.push_back(std::move(sample));
   }
-  PS_REQUIRE(next == lines.size(),
-             "unexpected trailing line in rack sample message");
+  in.finish();
   PS_REQUIRE(message.round == max_sequence,
              "rack round must equal the max embedded sequence");
   return message;
 }
 
-RackPolicyMessage parse_rack_policy_message(std::string_view text) {
-  const std::vector<std::string> lines = non_empty_lines(text);
-  PS_REQUIRE(lines.size() >= 5, "truncated rack policy message");
-  PS_REQUIRE(lines[0] == "powerstack-rack-policy v1",
-             "not a v1 rack policy message");
+RackPolicyMessage parse_rack_policy_message(std::string_view payload) {
+  wire::Reader in(payload, wire::Tag::kRackPolicy);
   RackPolicyMessage message;
-  message.rack = parse_rack_name(lines[1]);
-  message.round = parse_keyed_uint(lines[2], "round");
-  PS_REQUIRE(util::starts_with(lines[3], "rack_budget "),
-             "expected 'rack_budget' line");
-  message.rack_budget_watts =
-      parse_watts(util::trim(lines[3].substr(12)), "rack_budget");
+  message.rack = read_rack_name(in);
+  message.round = in.varint();
+  message.rack_budget_watts = in.watts();
   PS_REQUIRE(message.rack_budget_watts > 0.0,
              "rack budget must be positive");
-  const std::uint64_t jobs = parse_keyed_uint(lines[4], "jobs");
+  const std::uint64_t jobs = in.count(kMinPolicyBytes);
   PS_REQUIRE(jobs > 0, "rack policy message has no jobs");
-  std::size_t next = 5;
+  message.policies.reserve(jobs);
   std::uint64_t max_sequence = 0;
   double caps_sum = 0.0;
-  std::size_t cap_count = 0;
-  message.policies.reserve(jobs);
   for (std::uint64_t j = 0; j < jobs; ++j) {
-    PS_REQUIRE(next < lines.size(),
-               "rack policy message truncated before its block prefix");
-    const std::uint64_t count = parse_keyed_uint(lines[next], "policy");
-    ++next;
-    PolicyMessage policy =
-        parse_policy_message(take_block(lines, next, count, "policy"));
-    next += count;
+    PolicyMessage policy = read_policy(in);
     PS_REQUIRE(message.policies.empty() ||
                    message.policies.back().job_name < policy.job_name,
                "rack policies must be unique and name-ordered");
     max_sequence = std::max(max_sequence, policy.sequence);
-    for (double cap : policy.host_caps_watts) {
+    for (const double cap : policy.host_caps_watts) {
       caps_sum += cap;
-      ++cap_count;
     }
-    for (double cap : policy.host_gpu_caps_watts) {
+    for (const double cap : policy.host_gpu_caps_watts) {
       caps_sum += cap;
-      ++cap_count;
     }
     message.policies.push_back(std::move(policy));
   }
-  PS_REQUIRE(next == lines.size(),
-             "unexpected trailing line in rack policy message");
+  in.finish();
   PS_REQUIRE(message.round == max_sequence,
              "rack round must equal the max embedded sequence");
-  // The rack budget is the sum of the embedded caps; allow display-
-  // fidelity rounding (each value rounds by at most half a milliwatt).
-  const double tolerance = 5e-4 * static_cast<double>(cap_count + 1) +
-                           1e-9 * caps_sum;
-  PS_REQUIRE(std::abs(caps_sum - message.rack_budget_watts) <= tolerance,
+  // The rack budget is the sum of the embedded caps; the relative term
+  // absorbs a writer that summed them in another order.
+  PS_REQUIRE(std::abs(caps_sum - message.rack_budget_watts) <=
+                 1e-9 * caps_sum,
              "rack budget disagrees with the embedded caps");
   return message;
 }
 
-WireMessageKind wire_message_kind(std::string_view text) {
-  const std::size_t newline = text.find('\n');
-  const std::string_view header =
-      util::trim(newline == std::string_view::npos ? text
-                                                   : text.substr(0, newline));
-  if (header == "powerstack-sample v1" || header == "powerstack-sample v3") {
-    return WireMessageKind::kSample;
+WireMessageKind wire_message_kind(std::string_view payload) {
+  const std::optional<wire::Tag> tag = wire::peek_tag(payload);
+  if (!tag) {
+    return WireMessageKind::kUnknown;
   }
-  if (header == "powerstack-policy v1" || header == "powerstack-policy v3") {
-    return WireMessageKind::kPolicy;
+  switch (*tag) {
+    case wire::Tag::kSample:
+      return WireMessageKind::kSample;
+    case wire::Tag::kPolicy:
+      return WireMessageKind::kPolicy;
+    case wire::Tag::kBudget:
+      return WireMessageKind::kBudget;
+    case wire::Tag::kRackSample:
+      return WireMessageKind::kRackSample;
+    case wire::Tag::kRackPolicy:
+      return WireMessageKind::kRackPolicy;
+    default:
+      return WireMessageKind::kUnknown;
   }
-  if (header == "powerstack-budget v1") {
-    return WireMessageKind::kBudget;
-  }
-  if (header == "powerstack-rack-sample v1") {
-    return WireMessageKind::kRackSample;
-  }
-  if (header == "powerstack-rack-policy v1") {
-    return WireMessageKind::kRackPolicy;
-  }
-  return WireMessageKind::kUnknown;
 }
 
 bool SampleLatch::offer(SampleMessage message) {

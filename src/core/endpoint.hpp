@@ -26,16 +26,14 @@ struct SampleMessage {
   std::vector<double> host_observed_watts;  ///< Demand estimate per host.
   std::vector<double> host_needed_watts;    ///< Balancer-needed per host.
 
-  /// GPU-domain telemetry (wire v3). Empty vectors = a single-domain job
-  /// (the message serializes as v1, byte-identical to pre-hetero peers).
+  /// GPU-domain telemetry. Empty vectors = a single-domain job, whose
+  /// GPU range below is 0.
   std::vector<double> host_gpu_observed_watts;
   std::vector<double> host_gpu_needed_watts;
   double gpu_min_cap_watts = 0.0;  ///< Per-host GPU-domain settable floor.
   double gpu_tdp_watts = 0.0;      ///< Per-host GPU-domain TDP.
 
-  /// Multi-tenant service class. kStandard (the default) serializes as
-  /// the line's absence, keeping single-tenant traffic byte-identical to
-  /// the pre-SLA wire — the same discipline as budget_epoch.
+  /// Multi-tenant service class (one byte on the wire).
   sim::SlaClass sla_class = sim::SlaClass::kStandard;
 
   [[nodiscard]] bool has_gpu_domain() const noexcept {
@@ -46,24 +44,23 @@ struct SampleMessage {
 
 /// RM -> runtime control message: the caps one job must program.
 /// `budget_epoch` tags the caps with the budget renegotiation epoch they
-/// were computed under (0 = the construction-time budget, the v1 wire
-/// form). A client that has heard a newer epoch rejects older-tagged
-/// caps as stale — they would overspend a budget that has since shrunk.
+/// were computed under (0 = the construction-time budget). A client that
+/// has heard a newer epoch rejects older-tagged caps as stale — they
+/// would overspend a budget that has since shrunk.
 struct PolicyMessage {
   std::uint64_t sequence = 0;
   std::string job_name;
   std::vector<double> host_caps_watts;
-  /// GPU-domain caps (wire v3). Empty = single-domain (v1 bytes on the
-  /// wire); otherwise one GPU cap per host.
+  /// GPU-domain caps. Empty = single-domain; otherwise one GPU cap per
+  /// host.
   std::vector<double> host_gpu_caps_watts;
   std::uint64_t budget_epoch = 0;
   /// Fencing epoch of the daemon incarnation that computed the caps
-  /// (0 = a daemon that has never failed over — the line is absent on
-  /// the wire, keeping single-daemon traffic byte-identical). A promoted
-  /// standby runs at its predecessor's fence + 1; clients ratchet the
-  /// highest fence ever heard and reject lower-fenced caps as the output
-  /// of a fenced zombie primary — the same discipline as budget_epoch,
-  /// but spanning daemon incarnations instead of budget renegotiations.
+  /// (0 = a daemon that has never failed over). A promoted standby runs
+  /// at its predecessor's fence + 1; clients ratchet the highest fence
+  /// ever heard and reject lower-fenced caps as the output of a fenced
+  /// zombie primary — the same discipline as budget_epoch, but spanning
+  /// daemon incarnations instead of budget renegotiations.
   std::uint64_t fence_epoch = 0;
 
   [[nodiscard]] bool has_gpu_domain() const noexcept {
@@ -103,7 +100,7 @@ struct RackSampleMessage {
 /// renegotiates it each epoch simply by re-running the global allocation,
 /// so sharding changes the fan-out topology but not a single watt.
 /// Epoch semantics ride inside the embedded PolicyMessages (budget_epoch
-/// and fence lines), exactly as on the flat wire.
+/// and fence fields), exactly as on the flat wire.
 struct RackPolicyMessage {
   std::string rack;
   std::uint64_t round = 0;             ///< max policy sequence in the batch.
@@ -113,101 +110,63 @@ struct RackPolicyMessage {
   [[nodiscard]] bool operator==(const RackPolicyMessage&) const = default;
 };
 
-/// Numeric fidelity of the serialized form — a writer-side knob; the v1
-/// grammar never fixed the decimal count, so both render as valid v1.
-/// `kDisplay` renders watts at milliwatt precision (the human-readable
-/// archival format). `kExact` renders every double as its shortest
-/// round-tripping decimal, so a value survives the wire bit-for-bit —
-/// what the live daemon transport uses, and the reason a distributed
+/// Kept so call sites that name the exact form keep compiling: the one
+/// binary grammar writes every double as its 8 IEEE-754 bytes, so a value
+/// always survives the wire bit-for-bit — the reason a distributed
 /// allocation can equal the in-memory one watt-for-watt.
-enum class WireFidelity { kDisplay, kExact };
+enum class WireFidelity { kExact };
 
-/// Line-based wire format (versioned, human-readable):
+/// One binary grammar per message (core/wire.hpp holds the encoding of
+/// each field type). Every payload opens with its wire::Tag byte and
+/// carries every field, always, in this order:
 ///
-///   powerstack-sample v1
-///   sequence 7
-///   job lulesh-512
-///   min_cap 152.000
-///   observed 214.125 220.000 ...
-///   needed 152.000 195.750 ...
+///   sample        tag 1, varint sequence, string job, f64 min_cap,
+///                 f64s observed, f64s needed, f64 gpu_min_cap,
+///                 f64 gpu_tdp, f64s gpu_observed, f64s gpu_needed,
+///                 byte sla_class
+///   policy        tag 2, varint sequence, string job, f64s caps,
+///                 f64s gpu_caps, varint budget_epoch, varint fence
+///   budget        tag 3, varint epoch, f64 budget, byte emergency
+///   rack-sample   tag 4, string rack, varint round, varint jobs, then
+///                 each sample's fields (no tag)
+///   rack-policy   tag 5, string rack, varint round, f64 rack_budget,
+///                 varint jobs, then each policy's fields (no tag)
 ///
-/// Multi-domain (heterogeneous) jobs use the v3 form, which appends the
-/// GPU domain after the v1 lines in a fixed order (v2 is skipped so the
-/// protocol family shares the snapshot format's version numbering):
+/// Empty GPU vectors mean a single-domain job (its GPU range is then 0);
+/// a zero budget epoch or fence is written as 0.
 ///
-///   powerstack-sample v3
-///   ...the six v1 lines...
-///   gpu_min_cap 100.000
-///   gpu_tdp 300.000
-///   gpu_observed 245.000 ...
-///   gpu_needed 187.500 ...
-///
-/// Single-domain messages serialize as v1, byte-identical to the
-/// pre-hetero wire — the same discipline as the budget_epoch tag.
-///
-/// A non-standard SLA class appends one optional trailing line after the
-/// domain sections (`sla_class best_effort` / `sla_class
-/// latency_critical`); kStandard is the line's absence, so single-tenant
-/// traffic stays byte-identical to the pre-SLA wire.
-///
-/// Parsers throw ps::InvalidArgument on malformed input: truncated
-/// messages, non-numeric fields, negative or non-finite watts, duplicate
-/// or out-of-order domain lines, and mismatched vector lengths.
+/// Parsers throw ps::InvalidArgument on malformed input: a wrong tag,
+/// truncated or trailing bytes, counts larger than the bytes left,
+/// negative or non-finite watts, host counts that disagree, a GPU range
+/// outside 0 < min <= TDP, an unknown SLA class, a zero budget epoch or
+/// a non-positive budget. Rack parsers also require unique, name-ordered
+/// jobs, a `round` equal to the max embedded sequence, and a rack budget
+/// equal to the sum of the embedded caps.
 [[nodiscard]] std::string serialize(const SampleMessage& message,
                                     WireFidelity fidelity =
-                                        WireFidelity::kDisplay);
-/// PolicyMessage serializes as the 4-line v1 form when budget_epoch is 0
-/// and gains a fifth `budget_epoch` line otherwise; the parser accepts
-/// both, so pre-dynamic-budget peers interoperate unchanged. With GPU
-/// caps present it becomes v3: a `gpu_caps` line follows `caps`. The
-/// optional trailing lines keep a fixed order — `budget_epoch` then
-/// `fence` — and each is present exactly when its field is non-zero, so
-/// a message from a never-failed-over daemon under a never-revised
-/// budget is byte-identical to the original v1 wire.
+                                        WireFidelity::kExact);
 [[nodiscard]] std::string serialize(const PolicyMessage& message,
                                     WireFidelity fidelity =
-                                        WireFidelity::kDisplay);
+                                        WireFidelity::kExact);
 [[nodiscard]] std::string serialize(const BudgetMessage& message,
                                     WireFidelity fidelity =
-                                        WireFidelity::kDisplay);
-/// Rack-aggregate wire form (v1): a header block followed by one
-/// length-prefixed embedded message per job, in job-name order:
-///
-///   powerstack-rack-sample v1
-///   rack r04
-///   round 7
-///   jobs 2
-///   sample 6
-///   ...the 6 non-empty lines of an embedded powerstack-sample...
-///   sample 6
-///   ...
-///
-/// Each `sample N` / `policy N` prefix states how many non-empty lines
-/// the embedded message occupies, so the parser can delimit blocks
-/// without re-deriving version-specific line counts — the embedded
-/// blocks are handed to the ordinary sample/policy parsers and inherit
-/// all of their strictness. The rack-policy form inserts a
-/// `rack_budget <watts>` line between `round` and `jobs`. Parsers throw
-/// ps::InvalidArgument on torn frames (block counts that overrun the
-/// payload), job counts that disagree with the block count, duplicate or
-/// out-of-name-order jobs, and a `round` that is not the max embedded
-/// sequence.
+                                        WireFidelity::kExact);
 [[nodiscard]] std::string serialize(const RackSampleMessage& message,
                                     WireFidelity fidelity =
-                                        WireFidelity::kDisplay);
+                                        WireFidelity::kExact);
 [[nodiscard]] std::string serialize(const RackPolicyMessage& message,
                                     WireFidelity fidelity =
-                                        WireFidelity::kDisplay);
-[[nodiscard]] SampleMessage parse_sample_message(std::string_view text);
-[[nodiscard]] PolicyMessage parse_policy_message(std::string_view text);
-[[nodiscard]] BudgetMessage parse_budget_message(std::string_view text);
+                                        WireFidelity::kExact);
+[[nodiscard]] SampleMessage parse_sample_message(std::string_view payload);
+[[nodiscard]] PolicyMessage parse_policy_message(std::string_view payload);
+[[nodiscard]] BudgetMessage parse_budget_message(std::string_view payload);
 [[nodiscard]] RackSampleMessage parse_rack_sample_message(
-    std::string_view text);
+    std::string_view payload);
 [[nodiscard]] RackPolicyMessage parse_rack_policy_message(
-    std::string_view text);
+    std::string_view payload);
 
-/// What kind of wire message a frame holds, judged by its header line
-/// only (so a receiver can dispatch before committing to a full parse).
+/// What kind of wire message a frame holds, judged by its tag byte only
+/// (so a receiver can dispatch before committing to a full parse).
 enum class WireMessageKind {
   kSample,
   kPolicy,
@@ -216,7 +175,7 @@ enum class WireMessageKind {
   kRackPolicy,
   kUnknown
 };
-[[nodiscard]] WireMessageKind wire_message_kind(std::string_view text);
+[[nodiscard]] WireMessageKind wire_message_kind(std::string_view payload);
 
 /// Keeps the newest sample from one producer, enforcing the sequence
 /// contract the resource-manager daemon relies on: stale or out-of-order

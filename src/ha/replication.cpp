@@ -1,125 +1,79 @@
 #include "ha/replication.hpp"
 
-#include <charconv>
-#include <sstream>
+#include <optional>
 
+#include "core/wire.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace ps::ha {
 
-namespace {
-
-constexpr std::string_view kSyncHeader = "powerstack-ha-sync v1";
-constexpr std::string_view kUpdateHeader = "powerstack-ha-update v1";
-constexpr std::string_view kHeartbeatHeader = "powerstack-ha-heartbeat v1";
-constexpr std::string_view kAckHeader = "powerstack-ha-ack v1";
-
-std::uint64_t parse_u64(std::string_view token, std::string_view what) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size(),
-             "non-numeric " + std::string(what) + " field");
-  return value;
-}
-
-std::string_view expect_field(std::string_view line, std::string_view key) {
-  PS_REQUIRE(util::starts_with(line, key),
-             "expected '" + std::string(key) + "' line");
-  return util::trim(line.substr(key.size()));
-}
-
-/// Consumes one '\n'-terminated line from `payload` starting at `pos`.
-std::string_view take_line(std::string_view payload, std::size_t& pos,
-                           std::string_view what) {
-  const std::size_t end = payload.find('\n', pos);
-  PS_REQUIRE(end != std::string_view::npos,
-             "truncated " + std::string(what) + " message");
-  const std::string_view line = payload.substr(pos, end - pos);
-  pos = end + 1;
-  return line;
-}
-
-}  // namespace
+using core::wire::Reader;
+using core::wire::Tag;
+using core::wire::Writer;
 
 HaMessageKind ha_message_kind(std::string_view payload) {
-  const std::size_t eol = payload.find('\n');
-  const std::string_view first =
-      eol == std::string_view::npos ? payload : payload.substr(0, eol);
-  if (first == kSyncHeader) {
-    return HaMessageKind::kSync;
+  const std::optional<Tag> tag = core::wire::peek_tag(payload);
+  if (!tag) {
+    return HaMessageKind::kUnknown;
   }
-  if (first == kUpdateHeader) {
-    return HaMessageKind::kUpdate;
+  switch (*tag) {
+    case Tag::kHaSync:
+      return HaMessageKind::kSync;
+    case Tag::kHaUpdate:
+      return HaMessageKind::kUpdate;
+    case Tag::kHaHeartbeat:
+      return HaMessageKind::kHeartbeat;
+    case Tag::kHaAck:
+      return HaMessageKind::kAck;
+    default:
+      return HaMessageKind::kUnknown;
   }
-  if (first == kHeartbeatHeader) {
-    return HaMessageKind::kHeartbeat;
-  }
-  if (first == kAckHeader) {
-    return HaMessageKind::kAck;
-  }
-  return HaMessageKind::kUnknown;
 }
 
 std::string serialize(const HaSyncRequest& message) {
-  std::ostringstream out;
-  out << kSyncHeader << '\n';
-  out << "fence " << message.fence_epoch << '\n';
-  return out.str();
+  Writer out(Tag::kHaSync);
+  out.varint(message.fence_epoch);
+  return std::move(out).take();
 }
 
 std::string serialize(const HaStateUpdate& message) {
-  std::ostringstream out;
-  out << kUpdateHeader << '\n';
-  out << "fence " << message.fence_epoch << '\n';
-  out << "rounds " << message.rounds << '\n';
-  out << "state" << '\n';
-  out << net::serialize(message.state);
-  return out.str();
+  Writer out(Tag::kHaUpdate);
+  out.varint(message.fence_epoch);
+  out.varint(message.rounds);
+  out.string(net::serialize(message.state));
+  return std::move(out).take();
 }
 
 std::string serialize(const HaHeartbeat& message) {
-  std::ostringstream out;
-  out << kHeartbeatHeader << '\n';
-  out << "fence " << message.fence_epoch << '\n';
-  out << "rounds " << message.rounds << '\n';
-  return out.str();
+  Writer out(Tag::kHaHeartbeat);
+  out.varint(message.fence_epoch);
+  out.varint(message.rounds);
+  return std::move(out).take();
 }
 
 std::string serialize(const HaAck& message) {
-  std::ostringstream out;
-  out << kAckHeader << '\n';
-  out << "rounds " << message.rounds << '\n';
-  return out.str();
+  Writer out(Tag::kHaAck);
+  out.varint(message.rounds);
+  return std::move(out).take();
 }
 
 HaSyncRequest parse_sync_request(std::string_view payload) {
-  std::size_t pos = 0;
-  PS_REQUIRE(take_line(payload, pos, "ha sync") == kSyncHeader,
-             "not a ha sync request");
+  Reader in(payload, Tag::kHaSync);
   HaSyncRequest message;
-  message.fence_epoch = parse_u64(
-      expect_field(take_line(payload, pos, "ha sync"), "fence "), "fence");
-  PS_REQUIRE(pos == payload.size(), "unexpected trailing ha sync bytes");
+  message.fence_epoch = in.varint();
+  in.finish();
   return message;
 }
 
 HaStateUpdate parse_state_update(std::string_view payload) {
-  std::size_t pos = 0;
-  PS_REQUIRE(take_line(payload, pos, "ha update") == kUpdateHeader,
-             "not a ha state update");
+  Reader in(payload, Tag::kHaUpdate);
   HaStateUpdate message;
-  message.fence_epoch = parse_u64(
-      expect_field(take_line(payload, pos, "ha update"), "fence "), "fence");
-  message.rounds = parse_u64(
-      expect_field(take_line(payload, pos, "ha update"), "rounds "),
-      "rounds");
-  PS_REQUIRE(take_line(payload, pos, "ha update") == "state",
-             "expected 'state' marker line");
-  // The remainder is a complete snapshot serialization; its own checksum
-  // line guards the state bytes end to end.
-  message.state = net::parse_snapshot(payload.substr(pos));
+  message.fence_epoch = in.varint();
+  message.rounds = in.varint();
+  // A complete snapshot serialization; its own CRC-32 trailer guards the
+  // state bytes end to end.
+  message.state = net::parse_snapshot(in.blob());
+  in.finish();
   PS_REQUIRE(message.state.fence_epoch == message.fence_epoch,
              "ha update fence disagrees with its state");
   PS_REQUIRE(message.state.allocations == message.rounds,
@@ -128,29 +82,19 @@ HaStateUpdate parse_state_update(std::string_view payload) {
 }
 
 HaHeartbeat parse_heartbeat(std::string_view payload) {
-  std::size_t pos = 0;
-  PS_REQUIRE(take_line(payload, pos, "ha heartbeat") == kHeartbeatHeader,
-             "not a ha heartbeat");
+  Reader in(payload, Tag::kHaHeartbeat);
   HaHeartbeat message;
-  message.fence_epoch = parse_u64(
-      expect_field(take_line(payload, pos, "ha heartbeat"), "fence "),
-      "fence");
-  message.rounds = parse_u64(
-      expect_field(take_line(payload, pos, "ha heartbeat"), "rounds "),
-      "rounds");
-  PS_REQUIRE(pos == payload.size(),
-             "unexpected trailing ha heartbeat bytes");
+  message.fence_epoch = in.varint();
+  message.rounds = in.varint();
+  in.finish();
   return message;
 }
 
 HaAck parse_ack(std::string_view payload) {
-  std::size_t pos = 0;
-  PS_REQUIRE(take_line(payload, pos, "ha ack") == kAckHeader,
-             "not a ha ack");
+  Reader in(payload, Tag::kHaAck);
   HaAck message;
-  message.rounds = parse_u64(
-      expect_field(take_line(payload, pos, "ha ack"), "rounds "), "rounds");
-  PS_REQUIRE(pos == payload.size(), "unexpected trailing ha ack bytes");
+  message.rounds = in.varint();
+  in.finish();
   return message;
 }
 

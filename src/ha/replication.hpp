@@ -9,13 +9,19 @@
 namespace ps::ha {
 
 /// The hot-standby replication protocol. Like the client protocol it is
-/// line-based text carried in CRC-guarded frames (net::encode_frame /
-/// net::FrameDecoder), so a corrupted update is rejected at the framing
-/// layer before the codec ever sees it. The state payload itself is the
-/// daemon's snapshot serialization — including the snapshot's own
-/// trailing checksum line — so replicated state is guarded twice and a
-/// standby applies exactly the bytes a restarted primary would have read
-/// from disk.
+/// the binary wire grammar (core/wire.hpp) carried in CRC-guarded frames
+/// (net::encode_frame / net::FrameDecoder), so a corrupted update is
+/// rejected at the framing layer before the codec ever sees it:
+///
+///   sync       tag 7, varint fence
+///   update     tag 8, varint fence, varint rounds, string state
+///   heartbeat  tag 9, varint fence, varint rounds
+///   ack        tag 10, varint rounds
+///
+/// The update's state is the daemon's snapshot serialization — including
+/// the snapshot's own CRC-32 trailer — so replicated state is guarded
+/// twice and a standby applies exactly the bytes a restarted primary
+/// would have read from disk.
 ///
 /// Message flow (standby dials the primary's replication listener):
 ///   standby -> primary   sync       "send me your full state"
@@ -38,7 +44,7 @@ enum class HaMessageKind {
   kUnknown,
 };
 
-/// Classifies a frame payload by its first line (cheap dispatch; the
+/// Classifies a frame payload by its tag byte (cheap dispatch; the
 /// matching parse_* call does full validation).
 [[nodiscard]] HaMessageKind ha_message_kind(std::string_view payload);
 

@@ -4,6 +4,8 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <map>
+#include <unordered_set>
 #include <utility>
 
 #include "core/control_round.hpp"
@@ -370,7 +372,7 @@ void PowerDaemon::close_session(int fd, NetSession& session,
           options_.obs.count("net.daemon.quarantines");
           options_.obs.emit(completed_rounds(), obs::cat::kNetIo,
                             "quarantine", {{"job", job_name}});
-          evict_job(job_name);
+          evict_jobs({job_name});
           quarantined = true;
         }
       }
@@ -449,10 +451,9 @@ void PowerDaemon::prune_quarantine(Clock::time_point now) {
   }
 }
 
-void PowerDaemon::evict_job(const std::string& name) {
-  const auto it = jobs_.find(name);
-  if (it == jobs_.end()) {
-    return;  // idempotent: watts can only be returned once
+void PowerDaemon::evict_jobs(const std::vector<std::string>& names) {
+  if (names.empty()) {
+    return;
   }
   const auto stored = [this] {
     double total = 0.0;
@@ -463,52 +464,72 @@ void PowerDaemon::evict_job(const std::string& name) {
     return total;
   };
   const double stored_before = stored();
-  const JobRecord record = std::move(it->second);
-  jobs_.erase(it);
-
-  if (record.session_fd >= 0) {
-    NetSession* session = sessions_.find(record.session_fd);
-    if (session != nullptr && session->is_rack) {
-      // A rack session multiplexes many jobs: evicting one (heartbeat
-      // stall, quarantine) must not sever the aggregator's link and take
-      // the whole rack down with it. Unbind the job and keep serving the
-      // rest of the rack.
-      const std::size_t unbound = std::erase(session->rack_jobs, name);
-      const std::lock_guard<std::mutex> lock(shared_mutex_);
-      stats_.rack_jobs -= unbound;
-    } else if (sessions_.remove(record.session_fd)) {
-      const std::lock_guard<std::mutex> lock(shared_mutex_);
-      ++stats_.sessions_closed;
+  double reclaimed_total = 0.0;
+  // Jobs to unbind from each live rack session, removed in one pass per
+  // rack after the batch.
+  std::map<int, std::unordered_set<std::string>> rack_unbinds;
+  for (const std::string& name : names) {
+    const auto it = jobs_.find(name);
+    if (it == jobs_.end()) {
+      continue;  // idempotent: watts can only be returned once
     }
-  }
+    const JobRecord record = std::move(it->second);
+    jobs_.erase(it);
 
-  double reclaimed = 0.0;
-  add_caps(reclaimed, record.last_caps_watts, record.last_gpu_caps_watts);
-  const double stored_after = stored();
-  // Exactly-once reclamation in watt terms: the pool before the eviction
-  // equals what the job freed plus what everyone else still holds.
-  core::invariants::check_watts_conserved(stored_before, reclaimed,
-                                          stored_after, 1e-9,
-                                          "daemon.evict");
-  {
+    if (record.session_fd >= 0) {
+      NetSession* session = sessions_.find(record.session_fd);
+      if (session != nullptr && session->is_rack) {
+        // A rack session multiplexes many jobs: evicting one (heartbeat
+        // stall, quarantine) must not sever the aggregator's link and
+        // take the whole rack down with it. Unbind the job and keep
+        // serving the rest of the rack.
+        rack_unbinds[record.session_fd].insert(name);
+      } else if (sessions_.remove(record.session_fd)) {
+        const std::lock_guard<std::mutex> lock(shared_mutex_);
+        ++stats_.sessions_closed;
+      }
+    }
+
+    double reclaimed = 0.0;
+    add_caps(reclaimed, record.last_caps_watts, record.last_gpu_caps_watts);
+    reclaimed_total += reclaimed;
+    {
+      const std::lock_guard<std::mutex> lock(shared_mutex_);
+      ++stats_.jobs_evicted;
+      if (record.have_policy) {
+        stats_.watts_reclaimed += reclaimed;
+      }
+      if (record.session_fd < 0 &&
+          record.disconnected_at != Clock::time_point{}) {
+        stats_.reclaim_seconds_total +=
+            std::chrono::duration<double>(Clock::now() -
+                                          record.disconnected_at)
+                .count();
+      }
+    }
+    options_.obs.count("net.daemon.jobs_evicted");
+    options_.obs.emit(
+        completed_rounds(), obs::cat::kNetIo, "evict",
+        {{"job", name},
+         {"watts_reclaimed", record.have_policy ? reclaimed : 0.0}});
+    maybe_write_snapshot();
+  }
+  for (const auto& [fd, evicted] : rack_unbinds) {
+    NetSession* session = sessions_.find(fd);
+    if (session == nullptr) {
+      continue;
+    }
+    const std::size_t unbound =
+        std::erase_if(session->rack_jobs, [&evicted](const std::string& job) {
+          return evicted.contains(job);
+        });
     const std::lock_guard<std::mutex> lock(shared_mutex_);
-    ++stats_.jobs_evicted;
-    if (record.have_policy) {
-      stats_.watts_reclaimed += reclaimed;
-    }
-    if (record.session_fd < 0 &&
-        record.disconnected_at != Clock::time_point{}) {
-      stats_.reclaim_seconds_total +=
-          std::chrono::duration<double>(Clock::now() -
-                                        record.disconnected_at)
-              .count();
-    }
+    stats_.rack_jobs -= unbound;
   }
-  options_.obs.count("net.daemon.jobs_evicted");
-  options_.obs.emit(completed_rounds(), obs::cat::kNetIo, "evict",
-                    {{"job", name},
-                     {"watts_reclaimed", record.have_policy ? reclaimed : 0.0}});
-  maybe_write_snapshot();
+  // Exactly-once reclamation in watt terms: the pool before the batch
+  // equals what its jobs freed plus what everyone else still holds.
+  core::invariants::check_watts_conserved(stored_before, reclaimed_total,
+                                          stored(), 1e-9, "daemon.evict");
 }
 
 void PowerDaemon::handle_frame(int fd, NetSession& session,
@@ -1075,9 +1096,7 @@ void PowerDaemon::on_tick() {
       }
     }
   }
-  for (const std::string& name : evictions) {
-    evict_job(name);
-  }
+  evict_jobs(evictions);
   try_allocate();
 }
 

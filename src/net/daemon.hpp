@@ -301,7 +301,9 @@ class PowerDaemon {
   bool offer_sample(JobRecord& record, core::SampleMessage sample,
                     Clock::time_point now);
   void close_session(int fd, NetSession& session, CloseCause cause);
-  void evict_job(const std::string& name);
+  /// Evicts a batch of jobs (unknown names are skipped) and reclaims
+  /// their watts, with one conservation check over the whole batch.
+  void evict_jobs(const std::vector<std::string>& names);
   void queue_message(int fd, NetSession& session,
                      const core::PolicyMessage& message);
   [[nodiscard]] core::PolicyMessage stored_policy(const std::string& name,

@@ -26,11 +26,11 @@ inline constexpr std::size_t kFrameHeaderBytes = 8;
 
 /// Wraps a payload in the transport framing: a 4-byte big-endian length
 /// prefix and a 4-byte big-endian CRC-32 of the payload, followed by the
-/// payload bytes. The endpoint wire format is line-based text; the prefix
-/// is what lets a byte stream carry many messages back to back without a
-/// sentinel, and the checksum is what lets a receiver tell a corrupted
-/// frame from a validly different one (the line grammar alone cannot: a
-/// flipped digit still parses).
+/// payload bytes. The prefix is what lets a byte stream carry many
+/// messages back to back without a sentinel, and the checksum is what
+/// lets a receiver tell a corrupted frame from a validly different one
+/// (the message grammar alone cannot: a flipped mantissa bit still
+/// parses).
 [[nodiscard]] std::string encode_frame(std::string_view payload);
 
 /// Incremental decoder for the other direction: feed it whatever the

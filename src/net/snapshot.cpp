@@ -3,54 +3,22 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#include "core/wire.hpp"
 #include "net/framing.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace ps::net {
 
 namespace {
 
-std::string format_exact(double value) {
-  char buffer[32];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  PS_REQUIRE(ec == std::errc{}, "unencodable watt value");
-  return std::string(buffer, ptr);
-}
-
-double parse_watts(std::string_view token, std::string_view what) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size(),
-             "non-numeric " + std::string(what) + " field");
-  PS_REQUIRE(std::isfinite(value), std::string(what) + " must be finite");
-  PS_REQUIRE(value >= 0.0, std::string(what) + " must be non-negative");
-  return value;
-}
-
-std::uint64_t parse_u64(std::string_view token, std::string_view what) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  PS_REQUIRE(ec == std::errc{} && ptr == token.data() + token.size(),
-             "non-numeric " + std::string(what) + " field");
-  return value;
-}
-
-std::string_view expect_field(std::string_view line, std::string_view key) {
-  PS_REQUIRE(util::starts_with(line, key),
-             "expected '" + std::string(key) + "' line");
-  return util::trim(line.substr(key.size()));
-}
+/// Smallest encoding of one job: name 2 + sequence 1 + one cap 9 + empty
+/// GPU caps 1.
+constexpr std::size_t kMinJobBytes = 13;
 
 }  // namespace
 
@@ -68,153 +36,58 @@ double DaemonSnapshot::allocated_watts() const {
 }
 
 std::string serialize(const DaemonSnapshot& snapshot) {
-  bool any_gpu = false;
+  core::wire::Writer out(core::wire::Tag::kSnapshot);
+  out.f64(snapshot.system_budget_watts);
+  out.varint(snapshot.budget_epoch);
+  out.varint(snapshot.fence_epoch);
+  out.byte(snapshot.launch_barrier_met ? 1 : 0);
+  out.varint(snapshot.allocations);
+  out.varint(snapshot.jobs.size());
   for (const SnapshotJob& job : snapshot.jobs) {
-    if (!job.gpu_caps_watts.empty()) {
-      any_gpu = true;
-      break;
-    }
+    out.string(job.name);
+    out.varint(job.sequence);
+    out.f64s(job.caps_watts);
+    out.f64s(job.gpu_caps_watts);
   }
-  // v4 (a control plane that has failed over at least once) fixes the
-  // job block at the four-line v3 form regardless of GPU presence.
-  const bool v4 = snapshot.fence_epoch > 0;
-  if (v4) {
-    any_gpu = true;
-  }
-  std::ostringstream out;
-  out << (v4        ? "powerstack-snapshot v4\n"
-          : any_gpu ? "powerstack-snapshot v3\n"
-                    : "powerstack-snapshot v2\n");
-  out << "budget " << format_exact(snapshot.system_budget_watts) << '\n';
-  out << "budget_epoch " << snapshot.budget_epoch << '\n';
-  if (v4) {
-    out << "fence " << snapshot.fence_epoch << '\n';
-  }
-  out << "barrier " << (snapshot.launch_barrier_met ? 1 : 0) << '\n';
-  out << "allocations " << snapshot.allocations << '\n';
-  out << "jobs " << snapshot.jobs.size() << '\n';
-  for (const SnapshotJob& job : snapshot.jobs) {
-    out << "job " << job.name << '\n';
-    out << "sequence " << job.sequence << '\n';
-    out << "caps";
-    for (const double cap : job.caps_watts) {
-      out << ' ' << format_exact(cap);
-    }
-    out << '\n';
-    if (any_gpu) {
-      // v3 keeps the per-job line count fixed: single-domain jobs of a
-      // mixed cluster write a bare `gpu_caps` line.
-      out << "gpu_caps";
-      for (const double cap : job.gpu_caps_watts) {
-        out << ' ' << format_exact(cap);
-      }
-      out << '\n';
-    }
-  }
-  std::string body = out.str();
-  char checksum[32];  // "checksum " + 8 hex digits + '\n' + NUL = 20 bytes
-  std::snprintf(checksum, sizeof(checksum), "checksum %08x\n",
-                crc32(body));
-  body += checksum;
-  return body;
+  out.u32(crc32(out.bytes()));
+  return std::move(out).take();
 }
 
-DaemonSnapshot parse_snapshot(std::string_view text) {
-  std::vector<std::string> lines;
-  for (const std::string& line : util::split(text, '\n')) {
-    if (!util::trim(line).empty()) {
-      lines.push_back(line);
-    }
-  }
-  PS_REQUIRE(lines.size() >= 6, "snapshot is truncated");
-
-  // The checksum line guards everything before it, byte for byte.
-  const std::string& last = lines.back();
-  const std::string_view checksum_token = expect_field(last, "checksum ");
-  const std::size_t body_end = text.rfind("checksum ");
-  PS_REQUIRE(body_end != std::string_view::npos, "missing checksum line");
-  std::uint32_t expected = 0;
-  {
-    const auto [ptr, ec] = std::from_chars(
-        checksum_token.data(),
-        checksum_token.data() + checksum_token.size(), expected, 16);
-    PS_REQUIRE(ec == std::errc{} &&
-                   ptr == checksum_token.data() + checksum_token.size(),
-               "non-hex checksum field");
-  }
-  PS_REQUIRE(crc32(text.substr(0, body_end)) == expected,
-             "snapshot checksum mismatch (torn or corrupted write)");
-
-  const bool v4 = lines[0] == "powerstack-snapshot v4";
-  const bool v3 = v4 || lines[0] == "powerstack-snapshot v3";
-  const bool v2 = v3 || lines[0] == "powerstack-snapshot v2";
-  PS_REQUIRE(v2 || lines[0] == "powerstack-snapshot v1",
-             "not a v1/v2/v3/v4 snapshot");
+DaemonSnapshot parse_snapshot(std::string_view bytes) {
+  core::wire::Reader in(bytes, core::wire::Tag::kSnapshot);
   DaemonSnapshot snapshot;
-  snapshot.system_budget_watts =
-      parse_watts(expect_field(lines[1], "budget "), "budget");
+  snapshot.system_budget_watts = in.watts();
   PS_REQUIRE(snapshot.system_budget_watts > 0.0,
              "snapshot budget must be positive");
-  std::size_t next = 2;
-  if (v2) {
-    snapshot.budget_epoch = parse_u64(
-        expect_field(lines[next], "budget_epoch "), "budget_epoch");
-    ++next;
-  }
-  if (v4) {
-    snapshot.fence_epoch =
-        parse_u64(expect_field(lines[next], "fence "), "fence");
-    PS_REQUIRE(snapshot.fence_epoch != 0,
-               "v4 snapshot fence must be non-zero");
-    ++next;
-  }
-  const std::string_view barrier = expect_field(lines[next], "barrier ");
-  PS_REQUIRE(barrier == "0" || barrier == "1", "barrier must be 0 or 1");
-  snapshot.launch_barrier_met = barrier == "1";
-  ++next;
-  snapshot.allocations =
-      parse_u64(expect_field(lines[next], "allocations "), "allocations");
-  ++next;
-  const std::uint64_t job_count =
-      parse_u64(expect_field(lines[next], "jobs "), "jobs");
-  ++next;
-  const std::uint64_t lines_per_job = v3 ? 4 : 3;
-  PS_REQUIRE(lines.size() == next + 1 + lines_per_job * job_count,
-             "snapshot job count disagrees with its body");
-
+  snapshot.budget_epoch = in.varint();
+  snapshot.fence_epoch = in.varint();
+  snapshot.launch_barrier_met = in.flag();
+  snapshot.allocations = in.varint();
+  const std::uint64_t job_count = in.count(kMinJobBytes);
+  snapshot.jobs.reserve(job_count);
   std::set<std::string> seen;
   for (std::uint64_t j = 0; j < job_count; ++j) {
-    const std::size_t base = next + lines_per_job * j;
     SnapshotJob job;
-    job.name = std::string(expect_field(lines[base], "job "));
-    PS_REQUIRE(!job.name.empty(), "empty job name");
+    job.name = in.name();
     PS_REQUIRE(seen.insert(job.name).second,
                "duplicate job '" + job.name + "' in snapshot");
-    job.sequence =
-        parse_u64(expect_field(lines[base + 1], "sequence "), "sequence");
-    const std::string_view caps = expect_field(lines[base + 2], "caps");
-    for (const std::string& token : util::split(caps, ' ')) {
-      if (!token.empty()) {
-        job.caps_watts.push_back(parse_watts(token, "caps"));
-      }
-    }
+    job.sequence = in.varint();
+    job.caps_watts = in.watts_vector();
     PS_REQUIRE(!job.caps_watts.empty(),
                "job '" + job.name + "' has no caps");
-    if (v3) {
-      const std::string_view gpu_caps =
-          expect_field(lines[base + 3], "gpu_caps");
-      for (const std::string& token : util::split(gpu_caps, ' ')) {
-        if (!token.empty()) {
-          job.gpu_caps_watts.push_back(parse_watts(token, "gpu_caps"));
-        }
-      }
-      PS_REQUIRE(job.gpu_caps_watts.empty() ||
-                     job.gpu_caps_watts.size() == job.caps_watts.size(),
-                 "job '" + job.name +
-                     "' GPU caps disagree with its host count");
-    }
+    job.gpu_caps_watts = in.watts_vector();
+    PS_REQUIRE(job.gpu_caps_watts.empty() ||
+                   job.gpu_caps_watts.size() == job.caps_watts.size(),
+               "job '" + job.name +
+                   "' GPU caps disagree with its host count");
     snapshot.jobs.push_back(std::move(job));
   }
+  // The CRC-32 trailer guards every byte before it.
+  const std::size_t body_bytes = bytes.size() - in.remaining();
+  const std::uint32_t expected = in.u32();
+  in.finish();
+  PS_REQUIRE(crc32(bytes.substr(0, body_bytes)) == expected,
+             "snapshot checksum mismatch (torn or corrupted write)");
   return snapshot;
 }
 

@@ -50,39 +50,21 @@ struct DaemonSnapshot {
   [[nodiscard]] double allocated_watts() const;
 };
 
-/// Line-based serialization (versioned, human-readable, exact numeric
-/// fidelity) with a trailing CRC-32 line guarding the whole body:
+/// Binary serialization in the wire grammar (core/wire.hpp), every field
+/// always present, doubles bit-exact:
 ///
-///   powerstack-snapshot v2
-///   budget 2880
-///   budget_epoch 3
-///   barrier 1
-///   allocations 7
-///   jobs 2
-///   job lulesh-512
-///   sequence 6
-///   caps 181.25 181.25
-///   ...
-///   checksum 89abcdef
-///
-/// The writer always emits v2; the parser also accepts the v1 grammar
-/// (no budget_epoch line), reading it as epoch 0.
-///
-/// When any job carries GPU-domain caps the snapshot is v3: every job
-/// block gains a fourth `gpu_caps` line after `caps` (left bare for the
-/// single-domain jobs of a mixed cluster). A snapshot with no GPU caps
-/// anywhere still serializes as v2, byte-identical to pre-hetero builds.
-///
-/// A non-zero fence_epoch makes it v4: a `fence` line follows
-/// `budget_epoch` and every job block carries the fixed four-line (v3)
-/// form. A control plane that never failed over keeps fence_epoch 0 and
-/// stays byte-identical to v2/v3 — the same discipline as the wire.
+///   tag 6, f64 budget, varint budget_epoch, varint fence, byte barrier,
+///   varint allocations, varint jobs, then per job: string name,
+///   varint sequence, f64s caps, f64s gpu_caps (empty = single-domain),
+///   and last a 4-byte little-endian CRC-32 of every byte before it.
 [[nodiscard]] std::string serialize(const DaemonSnapshot& snapshot);
 
 /// Parses and validates a serialized snapshot. Throws ps::InvalidArgument
-/// on malformed input: truncated bodies, non-numeric or non-finite watts,
-/// duplicated job names, and checksum mismatches (a torn write).
-[[nodiscard]] DaemonSnapshot parse_snapshot(std::string_view text);
+/// on malformed input: a wrong tag (a snapshot file in any older form),
+/// truncated bodies, negative or non-finite watts, a non-positive
+/// budget, jobs without caps or with GPU caps for a different host
+/// count, duplicated job names, and checksum mismatches (a torn write).
+[[nodiscard]] DaemonSnapshot parse_snapshot(std::string_view bytes);
 
 /// Atomically replaces the snapshot at `path` (write to a sibling temp
 /// file, fsync, rename) so a crash mid-write can never leave a torn

@@ -1,13 +1,14 @@
 // Wire form of the dynamic-budget protocol: BudgetMessage round-trips,
-// the epoch-tagged PolicyMessage extension, byte-compatibility with the
-// v1 grammar, and header-only dispatch.
+// the epoch field of PolicyMessage, pinned bytes, and tag-only dispatch.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/endpoint.hpp"
 #include "util/error.hpp"
+#include "../wire_bytes.hpp"
 
 namespace ps::core {
 namespace {
@@ -25,13 +26,15 @@ TEST(BudgetWireTest, RoundTripsExactlyAtExactFidelity) {
 }
 
 TEST(BudgetWireTest, DisplayFidelityIsStillValidWire) {
+  // The one budget form, pinned: tag, epoch, the budget's 8 bytes, flag.
   BudgetMessage message;
   message.epoch = 1;
   message.budget_watts = 1'234.5;
-  const BudgetMessage parsed = parse_budget_message(serialize(message));
-  EXPECT_EQ(parsed.epoch, 1u);
+  const std::string wire = serialize(message);
+  EXPECT_EQ(test::hex(wire), "03" "01" "00000000004a9340" "00");
+  const BudgetMessage parsed = parse_budget_message(wire);
+  EXPECT_EQ(parsed, message);
   EXPECT_FALSE(parsed.emergency);
-  EXPECT_NEAR(parsed.budget_watts, 1'234.5, 1e-3);
 }
 
 TEST(BudgetWireTest, EmergencyFlagRoundTrips) {
@@ -44,52 +47,75 @@ TEST(BudgetWireTest, EmergencyFlagRoundTrips) {
 }
 
 TEST(BudgetWireTest, MalformedMessagesRejected) {
-  const std::vector<const char*> malformed = {
-      "",
-      "powerstack-sample v1\nepoch 1\nbudget 900\nemergency 0\n",
-      "powerstack-budget v2\nepoch 1\nbudget 900\nemergency 0\n",
-      "powerstack-budget v1\nepoch 1\nbudget 900\n",  // truncated
-      "powerstack-budget v1\nepoch 0\nbudget 900\nemergency 0\n",
-      "powerstack-budget v1\nepoch -3\nbudget 900\nemergency 0\n",
-      "powerstack-budget v1\nepoch two\nbudget 900\nemergency 0\n",
-      "powerstack-budget v1\nepoch 1\nbudget 0\nemergency 0\n",
-      "powerstack-budget v1\nepoch 1\nbudget -900\nemergency 0\n",
-      "powerstack-budget v1\nepoch 1\nbudget nan\nemergency 0\n",
-      "powerstack-budget v1\nepoch 1\nbudget 900W\nemergency 0\n",
-      "powerstack-budget v1\nepoch 1\nbudget 900\nemergency 2\n",
-      "powerstack-budget v1\nepoch 1\nbudget 900\nemergency 0\njunk\n",
-      "powerstack-budget v1\nepoch 1\nwatts 900\nemergency 0\n",
+  BudgetMessage good;
+  good.epoch = 1;
+  good.budget_watts = 900.0;
+  const std::string wire = serialize(good);
+  ASSERT_EQ(parse_budget_message(wire), good);
+  const auto with = [&good](auto mutate) {
+    BudgetMessage message = good;
+    mutate(message);
+    return serialize(message);
   };
-  for (const char* text : malformed) {
-    EXPECT_THROW(static_cast<void>(parse_budget_message(text)),
+  std::string non_minimal_epoch = wire;
+  non_minimal_epoch.replace(1, 1, "\x81\x00", 2);
+  const std::vector<std::string> malformed = {
+      "",
+      "powerstack-budget v1\nepoch 1\nbudget 900\nemergency 0\n",
+      serialize(PolicyMessage{}),  // wrong tag
+      wire.substr(0, wire.size() - 1),  // truncated
+      wire + '\0',                     // trailing byte
+      non_minimal_epoch,
+      with([](BudgetMessage& m) { m.epoch = 0; }),
+      with([](BudgetMessage& m) { m.budget_watts = 0.0; }),
+      with([](BudgetMessage& m) { m.budget_watts = -900.0; }),
+      with([](BudgetMessage& m) {
+        m.budget_watts = std::numeric_limits<double>::quiet_NaN();
+      }),
+      with([](BudgetMessage& m) {
+        m.budget_watts = std::numeric_limits<double>::infinity();
+      }),
+      wire.substr(0, wire.size() - 1) + "\x02",  // emergency 2
+  };
+  for (std::size_t i = 0; i < malformed.size(); ++i) {
+    EXPECT_THROW(static_cast<void>(parse_budget_message(malformed[i])),
                  InvalidArgument)
-        << "accepted: " << text;
+        << "accepted case " << i;
   }
 }
 
 TEST(BudgetWireTest, KindIsJudgedByHeaderAlone) {
-  EXPECT_EQ(wire_message_kind("powerstack-budget v1\nepoch 1\n"),
-            WireMessageKind::kBudget);
-  EXPECT_EQ(wire_message_kind("powerstack-budget v1"),  // no newline yet
-            WireMessageKind::kBudget);
-  EXPECT_EQ(wire_message_kind("powerstack-sample v1\n..."),
+  // The tag byte alone decides, before any field is read.
+  EXPECT_EQ(wire_message_kind("\x03"), WireMessageKind::kBudget);
+  EXPECT_EQ(wire_message_kind(std::string_view("\x01garbage")),
             WireMessageKind::kSample);
-  EXPECT_EQ(wire_message_kind("powerstack-policy v1\n..."),
-            WireMessageKind::kPolicy);
-  EXPECT_EQ(wire_message_kind("powerstack-budget v2\n..."),
+  EXPECT_EQ(wire_message_kind("\x02"), WireMessageKind::kPolicy);
+  EXPECT_EQ(wire_message_kind("\x04"), WireMessageKind::kRackSample);
+  EXPECT_EQ(wire_message_kind("\x05"), WireMessageKind::kRackPolicy);
+  // Snapshot and HA tags share the tag space but are not coordination
+  // messages; text and unassigned bytes are not tags at all.
+  EXPECT_EQ(wire_message_kind("\x06"), WireMessageKind::kUnknown);
+  EXPECT_EQ(wire_message_kind("\x0a"), WireMessageKind::kUnknown);
+  EXPECT_EQ(wire_message_kind("powerstack-budget v1\n"),
+            WireMessageKind::kUnknown);
+  EXPECT_EQ(wire_message_kind(std::string_view("\0", 1)),
             WireMessageKind::kUnknown);
   EXPECT_EQ(wire_message_kind(""), WireMessageKind::kUnknown);
 }
 
 TEST(PolicyEpochWireTest, EpochZeroSerializesAsTheV1ByteForm) {
-  // Byte-for-byte the pre-dynamic-budget grammar: a peer that has never
-  // heard of budget epochs parses this unchanged.
+  // Epoch 0 (a never-revised budget) is the single byte 0x00, pinned.
   PolicyMessage message;
   message.sequence = 7;
   message.job_name = "lulesh";
   message.host_caps_watts = {180.0, 190.0};
   const std::string wire = serialize(message);
-  EXPECT_EQ(wire.find("budget_epoch"), std::string::npos);
+  EXPECT_EQ(test::hex(wire),
+            "02" "07" "06" "6c756c657368"                   // policy 7
+            "02" "0000000000806640" "0000000000c06740"      // caps
+            "00"                                            // no GPU caps
+            "00"                                            // budget_epoch 0
+            "00");                                          // fence 0
   const PolicyMessage parsed = parse_policy_message(wire);
   EXPECT_EQ(parsed.budget_epoch, 0u);
   EXPECT_EQ(parsed, message);
@@ -102,18 +128,25 @@ TEST(PolicyEpochWireTest, NonZeroEpochGainsAFifthLineAndRoundTrips) {
   message.host_caps_watts = {181.25, 190.5};
   message.budget_epoch = 4;
   const std::string wire = serialize(message, WireFidelity::kExact);
-  EXPECT_NE(wire.find("budget_epoch 4"), std::string::npos);
+  // Same length as the epoch-0 form: the epoch byte is 4, then fence 0.
+  message.budget_epoch = 0;
+  EXPECT_EQ(wire.size(), serialize(message).size());
+  EXPECT_EQ(wire[wire.size() - 2], '\x04');
+  message.budget_epoch = 4;
   EXPECT_EQ(parse_policy_message(wire), message);
 }
 
 TEST(PolicyEpochWireTest, ExplicitEpochZeroLineRejected) {
-  // The fifth line exists only to announce a revision; epoch 0 must use
-  // the v1 four-line form, so an explicit zero is a protocol error.
-  EXPECT_THROW(
-      static_cast<void>(parse_policy_message(
-          "powerstack-policy v1\nsequence 1\njob x\ncaps 100\n"
-          "budget_epoch 0\n")),
-      InvalidArgument);
+  // Zero has exactly one form: a padded zero (0x80 0x00) in the epoch
+  // field is a protocol error, not a second spelling of epoch 0.
+  PolicyMessage message;
+  message.sequence = 1;
+  message.job_name = "x";
+  message.host_caps_watts = {100.0};
+  std::string wire = serialize(message);
+  wire.replace(wire.size() - 2, 1, "\x80\x00", 2);
+  EXPECT_THROW(static_cast<void>(parse_policy_message(wire)),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -1,179 +1,174 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/endpoint.hpp"
+#include "core/wire.hpp"
 #include "util/error.hpp"
 
 namespace ps::core {
 namespace {
 
 struct MalformedCase {
-  const char* name;
-  const char* text;
+  std::string name;
+  std::string bytes;
 };
 
+SampleMessage rack_sample(const std::string& job, std::uint64_t sequence) {
+  SampleMessage sample;
+  sample.sequence = sequence;
+  sample.job_name = job;
+  sample.min_settable_cap_watts = 152.0;
+  sample.host_observed_watts = {180.0};
+  sample.host_needed_watts = {170.0};
+  return sample;
+}
+
+RackSampleMessage valid_rack_sample() {
+  RackSampleMessage message;
+  message.rack = "r0";
+  message.round = 1;
+  message.samples = {rack_sample("a", 1), rack_sample("b", 1)};
+  return message;
+}
+
+PolicyMessage rack_policy(const std::string& job, std::uint64_t sequence) {
+  PolicyMessage policy;
+  policy.sequence = sequence;
+  policy.job_name = job;
+  policy.host_caps_watts = {180.0};
+  return policy;
+}
+
+RackPolicyMessage valid_rack_policy() {
+  RackPolicyMessage message;
+  message.rack = "r0";
+  message.round = 1;
+  message.rack_budget_watts = 360.0;
+  message.policies = {rack_policy("a", 1), rack_policy("b", 1)};
+  return message;
+}
+
+template <typename Message, typename Mutate>
+std::string with(Message message, Mutate mutate) {
+  mutate(message);
+  return serialize(message);
+}
+
+/// A rack-sample frame whose job count is `jobs` while it carries one
+/// sample: the count lies about how much follows.
+std::string rack_sample_claiming(std::uint64_t jobs) {
+  wire::Writer out(wire::Tag::kRackSample);
+  out.string("r0");
+  out.varint(1);
+  out.varint(jobs);
+  const std::string body = serialize(rack_sample("a", 1));
+  std::string bytes = std::move(out).take();
+  return bytes + body.substr(1);  // the embedded sample has no tag
+}
+
 // The batched rack-aggregate frames are the only messages whose grammar
-// carries *counts* (jobs, per-block line counts), so a torn or hostile
-// frame can lie about how much follows. Every case here must be rejected
-// before the parser walks past the end of the frame. Companion files:
-// endpoint_malformed_test.cpp (v1 grammar), endpoint_v3_malformed_test.cpp
-// (two-domain grammar).
-const std::vector<MalformedCase>& malformed_rack_samples() {
-  static const std::vector<MalformedCase> cases = {
+// carries a count of embedded messages, so a torn or hostile frame can
+// lie about how much follows. Every case here must be rejected before
+// the parser walks past the end of the frame or allocates for elements
+// the frame cannot hold. Companion file: endpoint_malformed_test.cpp
+// (the flat sample and policy grammars).
+std::vector<MalformedCase> malformed_rack_samples() {
+  const std::string wire = serialize(valid_rack_sample());
+  using M = RackSampleMessage;
+  return {
       {"empty", ""},
-      {"wrong_header",
-       "powerstack-rack-sample v2\nrack r0\nround 1\njobs 1\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
-      {"flat_sample_header",
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
-      {"missing_rack_line",
-       "powerstack-rack-sample v1\nround 1\njobs 1\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
+      {"wrong_tag", serialize(valid_rack_policy())},
+      {"flat_sample_tag", serialize(rack_sample("a", 1))},
       {"rack_name_with_space",
-       "powerstack-rack-sample v1\nrack r 0\nround 1\njobs 1\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
-      {"empty_rack_name",
-       "powerstack-rack-sample v1\nrack \nround 1\njobs 1\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
-      {"zero_jobs",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 0\n"},
-      {"jobs_count_exceeds_blocks",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 2\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
-      {"jobs_count_below_blocks",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 1\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob b\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
-      // The torn-frame family: the block's declared line count walks past
-      // the bytes that actually arrived.
-      {"torn_block_short_one_line",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 1\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\n"},
-      {"torn_block_count_overruns_frame",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 1\nsample 7\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
-      // Hostile counts: a huge or zero count must fail fast, not allocate
-      // or walk the buffer.
-      {"hostile_huge_block_count",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 1\n"
-       "sample 4294967295\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
-      {"zero_block_count",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 1\nsample 0\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
-      {"block_count_short_splits_message",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 1\nsample 3\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
+       with(valid_rack_sample(), [](M& m) { m.rack = "r 0"; })},
+      {"empty_rack_name", with(valid_rack_sample(), [](M& m) { m.rack = ""; })},
+      {"zero_jobs", with(valid_rack_sample(), [](M& m) { m.samples.clear(); })},
+      {"jobs_count_exceeds_blocks", rack_sample_claiming(2)},
+      {"jobs_count_below_blocks", rack_sample_claiming(0)},
+      // The torn-frame family: the frame ends inside its last job.
+      {"torn_block_short_one_byte", wire.substr(0, wire.size() - 1)},
+      {"torn_block_half_missing", wire.substr(0, wire.size() / 2)},
+      {"trailing_byte", wire + '\0'},
+      // Hostile counts: a huge count must fail fast, not allocate or walk
+      // the buffer.
+      {"hostile_huge_job_count", rack_sample_claiming(1'000'000'000'000)},
+      {"hostile_2_pow_62_job_count", rack_sample_claiming(1ull << 62)},
+      {"hostile_max_job_count", rack_sample_claiming(~std::uint64_t{0})},
       // Job-order discipline: the aggregate must be name-ordered and
       // duplicate-free, or the root's name-keyed round order would not
       // match the aggregate's.
       {"duplicate_job_names",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 2\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
+       with(valid_rack_sample(),
+            [](M& m) { m.samples[1].job_name = m.samples[0].job_name; })},
       {"out_of_order_job_names",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 2\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob b\nmin_cap 152\n"
-       "observed 180\nneeded 170\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
+       with(valid_rack_sample(),
+            [](M& m) { std::swap(m.samples[0], m.samples[1]); })},
       // The round header must agree with the newest embedded sequence.
       {"round_below_max_sequence",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 1\nsample 6\n"
-       "powerstack-sample v1\nsequence 2\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
+       with(valid_rack_sample(), [](M& m) { m.samples[1].sequence = 2; })},
       {"round_above_max_sequence",
-       "powerstack-rack-sample v1\nrack r0\nround 3\njobs 1\nsample 6\n"
-       "powerstack-sample v1\nsequence 2\njob a\nmin_cap 152\n"
-       "observed 180\nneeded 170\n"},
+       with(valid_rack_sample(), [](M& m) { m.round = 3; })},
       {"corrupt_embedded_sample",
-       "powerstack-rack-sample v1\nrack r0\nround 1\njobs 1\nsample 6\n"
-       "powerstack-sample v1\nsequence 1\njob a\nmin_cap nan\n"
-       "observed 180\nneeded 170\n"},
+       with(valid_rack_sample(), [](M& m) {
+         m.samples[0].min_settable_cap_watts =
+             std::numeric_limits<double>::quiet_NaN();
+       })},
   };
-  return cases;
 }
 
-const std::vector<MalformedCase>& malformed_rack_policies() {
-  static const std::vector<MalformedCase> cases = {
-      {"wrong_header",
-       "powerstack-rack-policy v2\nrack r0\nround 1\nrack_budget 180\n"
-       "jobs 1\npolicy 4\n"
-       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\n"},
-      {"missing_rack_budget",
-       "powerstack-rack-policy v1\nrack r0\nround 1\njobs 1\npolicy 4\n"
-       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\n"},
+std::vector<MalformedCase> malformed_rack_policies() {
+  const std::string wire = serialize(valid_rack_policy());
+  using M = RackPolicyMessage;
+  std::string hostile_count = wire;
+  // After tag, "r0" (3 bytes), round (1) and rack_budget (8) comes the
+  // one-byte job count; replace it with 2^64 - 1.
+  hostile_count.replace(13, 1, std::string(9, '\xff') + "\x01");
+  return {
+      {"wrong_tag", serialize(valid_rack_sample())},
       {"zero_rack_budget",
-       "powerstack-rack-policy v1\nrack r0\nround 1\nrack_budget 0\n"
-       "jobs 1\npolicy 4\n"
-       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\n"},
-      {"nan_rack_budget",
-       "powerstack-rack-policy v1\nrack r0\nround 1\nrack_budget nan\n"
-       "jobs 1\npolicy 4\n"
-       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\n"},
+       with(valid_rack_policy(), [](M& m) { m.rack_budget_watts = 0.0; })},
+      {"nan_rack_budget", with(valid_rack_policy(),
+                               [](M& m) {
+                                 m.rack_budget_watts =
+                                     std::numeric_limits<double>::quiet_NaN();
+                               })},
       {"negative_rack_budget",
-       "powerstack-rack-policy v1\nrack r0\nround 1\nrack_budget -180\n"
-       "jobs 1\npolicy 4\n"
-       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\n"},
+       with(valid_rack_policy(), [](M& m) { m.rack_budget_watts = -360.0; })},
       // The grant's self-consistency check: the advertised rack budget
       // must equal the sum of the caps it carries.
       {"rack_budget_disagrees_with_caps",
-       "powerstack-rack-policy v1\nrack r0\nround 1\nrack_budget 200\n"
-       "jobs 1\npolicy 4\n"
-       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\n"},
-      {"torn_policy_block",
-       "powerstack-rack-policy v1\nrack r0\nround 1\nrack_budget 180\n"
-       "jobs 1\npolicy 4\n"
-       "powerstack-policy v1\nsequence 1\njob a\n"},
-      {"hostile_huge_policy_count",
-       "powerstack-rack-policy v1\nrack r0\nround 1\nrack_budget 180\n"
-       "jobs 1\npolicy 18446744073709551615\n"
-       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\n"},
+       with(valid_rack_policy(), [](M& m) { m.rack_budget_watts = 380.0; })},
+      {"rack_budget_off_by_a_milliwatt",
+       with(valid_rack_policy(), [](M& m) { m.rack_budget_watts += 1e-3; })},
+      {"torn_policy_block", wire.substr(0, wire.size() - 3)},
+      {"hostile_max_policy_count", hostile_count},
       {"duplicate_policy_job",
-       "powerstack-rack-policy v1\nrack r0\nround 1\nrack_budget 360\n"
-       "jobs 2\npolicy 4\n"
-       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\npolicy 4\n"
-       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\n"},
-      {"round_mismatch",
-       "powerstack-rack-policy v1\nrack r0\nround 2\nrack_budget 180\n"
-       "jobs 1\npolicy 4\n"
-       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\n"},
-      {"trailing_garbage",
-       "powerstack-rack-policy v1\nrack r0\nround 1\nrack_budget 180\n"
-       "jobs 1\npolicy 4\n"
-       "powerstack-policy v1\nsequence 1\njob a\ncaps 180\ngarbage\n"},
+       with(valid_rack_policy(),
+            [](M& m) { m.policies[1].job_name = m.policies[0].job_name; })},
+      {"round_mismatch", with(valid_rack_policy(), [](M& m) { m.round = 2; })},
+      {"trailing_garbage", wire + "garbage"},
   };
-  return cases;
 }
 
 TEST(EndpointRackMalformedTest, RackSampleParserRejectsEveryCase) {
+  ASSERT_EQ(parse_rack_sample_message(serialize(valid_rack_sample())),
+            valid_rack_sample());
   for (const MalformedCase& test : malformed_rack_samples()) {
-    EXPECT_THROW(static_cast<void>(parse_rack_sample_message(test.text)),
+    EXPECT_THROW(static_cast<void>(parse_rack_sample_message(test.bytes)),
                  ps::Error)
         << "case '" << test.name << "' parsed without error";
   }
 }
 
 TEST(EndpointRackMalformedTest, RackPolicyParserRejectsEveryCase) {
+  ASSERT_EQ(parse_rack_policy_message(serialize(valid_rack_policy())),
+            valid_rack_policy());
   for (const MalformedCase& test : malformed_rack_policies()) {
-    EXPECT_THROW(static_cast<void>(parse_rack_policy_message(test.text)),
+    EXPECT_THROW(static_cast<void>(parse_rack_policy_message(test.bytes)),
                  ps::Error)
         << "case '" << test.name << "' parsed without error";
   }
@@ -238,9 +233,9 @@ TEST(EndpointRackMalformedTest, RackPolicyRoundTripsBitForBit) {
 }
 
 TEST(EndpointRackMalformedTest, DisplayFidelityStaysSelfConsistent) {
-  // kDisplay rounds each cap to 3 decimals; the serialized rack_budget
-  // must still agree with the serialized caps within the parser's
-  // rounding tolerance, or a display-fidelity frame could never parse.
+  // Caps no decimal form holds exactly: the rack budget written as their
+  // sum parses back equal to the sum the receiver recomputes, bit for
+  // bit, with no rounding allowance.
   RackPolicyMessage message;
   message.rack = "r0";
   PolicyMessage policy;
@@ -254,9 +249,12 @@ TEST(EndpointRackMalformedTest, DisplayFidelityStaysSelfConsistent) {
   }
   const RackPolicyMessage parsed =
       parse_rack_policy_message(serialize(message));
-  EXPECT_EQ(parsed.rack, "r0");
-  ASSERT_EQ(parsed.policies.size(), 1u);
-  EXPECT_NEAR(parsed.rack_budget_watts, message.rack_budget_watts, 2e-3);
+  EXPECT_EQ(parsed, message);
+  double recomputed = 0.0;
+  for (const double cap : parsed.policies[0].host_caps_watts) {
+    recomputed += cap;
+  }
+  EXPECT_EQ(parsed.rack_budget_watts, recomputed);
 }
 
 }  // namespace

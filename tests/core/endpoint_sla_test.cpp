@@ -1,6 +1,5 @@
-// Wire discipline of the multi-tenant sla_class extension: the class
-// rides as an optional trailing line, present only in its non-standard
-// form — every single-tenant sample keeps its pre-SLA bytes.
+// Wire discipline of the multi-tenant sla_class field: one byte, always
+// present, last in the sample, holding one of the three known classes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,6 +8,7 @@
 #include "sim/cluster.hpp"
 #include "sim/sla.hpp"
 #include "util/error.hpp"
+#include "../wire_bytes.hpp"
 
 namespace ps::core {
 namespace {
@@ -23,55 +23,58 @@ SampleMessage sample_message() {
   return message;
 }
 
-constexpr const char* kLegacySampleWire =
-    "powerstack-sample v1\nsequence 1\njob x\nmin_cap 152\n"
-    "observed 200\nneeded 180\n";
-
 TEST(EndpointSlaTest, NonStandardClassRoundTrips) {
   for (const sim::SlaClass sla_class :
        {sim::SlaClass::kLatencyCritical, sim::SlaClass::kBestEffort}) {
     SampleMessage original = sample_message();
     original.sla_class = sla_class;
     const std::string wire = serialize(original);
-    EXPECT_NE(wire.find(std::string("sla_class ") +
-                        std::string(sim::to_string(sla_class))),
-              std::string::npos);
+    // The class is the sample's last byte.
+    EXPECT_EQ(static_cast<unsigned char>(wire.back()),
+              static_cast<unsigned char>(sla_class));
     EXPECT_EQ(parse_sample_message(wire), original);
   }
 }
 
 TEST(EndpointSlaTest, StandardClassKeepsThePreSlaBytes) {
-  // The default class must not appear on the wire at all: a pre-SLA
-  // reader parses the bytes, and a pre-SLA writer's bytes parse here.
+  // The default class is one explicit byte like any other, pinned here.
   const std::string wire = serialize(sample_message());
-  EXPECT_EQ(wire.find("sla_class"), std::string::npos);
-  const SampleMessage parsed = parse_sample_message(kLegacySampleWire);
-  EXPECT_EQ(parsed.sla_class, sim::SlaClass::kStandard);
+  EXPECT_EQ(test::hex(wire),
+            "01070a6c756c6573682d353132"            // sample 7 "lulesh-512"
+            "0000000000006340"                      // min_cap 152
+            "020000000000c46a400000000000806b40"    // observed
+            "0200000000000063400000000000786840"    // needed
+            "00000000000000000000000000000000"      // GPU range 0, 0
+            "0000"                                  // no GPU vectors
+            "01");                                  // standard
+  EXPECT_EQ(parse_sample_message(wire).sla_class, sim::SlaClass::kStandard);
 }
 
 TEST(EndpointSlaTest, ExplicitStandardLineRejected) {
-  // "standard" serializes as the line's absence; an explicit form is a
-  // writer bug and must not parse (one wire form per message).
+  // The class is never implied: a sample cut just before its class
+  // byte is refused rather than read as standard.
+  const std::string wire = serialize(sample_message());
   EXPECT_THROW(static_cast<void>(parse_sample_message(
-                   std::string(kLegacySampleWire) + "sla_class standard\n")),
+                   wire.substr(0, wire.size() - 1))),
                ps::InvalidArgument);
 }
 
 TEST(EndpointSlaTest, UnknownClassNameRejected) {
-  EXPECT_THROW(static_cast<void>(parse_sample_message(
-                   std::string(kLegacySampleWire) + "sla_class gold\n")),
-               ps::InvalidArgument);
+  std::string wire = serialize(sample_message());
+  for (const char unknown : {'\x03', '\x7f', '\xff'}) {
+    wire.back() = unknown;
+    EXPECT_THROW(static_cast<void>(parse_sample_message(wire)),
+                 ps::InvalidArgument);
+  }
 }
 
 TEST(EndpointSlaTest, MisplacedOrRepeatedTrailerRejected) {
-  EXPECT_THROW(static_cast<void>(parse_sample_message(
-                   std::string(kLegacySampleWire) +
-                   "sla_class best_effort\nsla_class best_effort\n")),
+  const std::string wire = serialize(sample_message());
+  // A repeated class byte, and a policy-only field after the class.
+  EXPECT_THROW(static_cast<void>(parse_sample_message(wire + "\x01")),
                ps::InvalidArgument);
-  EXPECT_THROW(
-      static_cast<void>(parse_sample_message(
-          std::string(kLegacySampleWire) + "budget_epoch 3\n")),
-      ps::InvalidArgument);
+  EXPECT_THROW(static_cast<void>(parse_sample_message(wire + "\x03")),
+               ps::InvalidArgument);
 }
 
 TEST(EndpointSlaTest, MakeSampleAndContextCarryTheClass) {

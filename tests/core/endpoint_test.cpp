@@ -5,6 +5,7 @@
 #include "core/policies.hpp"
 #include "sim/cluster.hpp"
 #include "util/error.hpp"
+#include "../wire_bytes.hpp"
 
 namespace ps::core {
 namespace {
@@ -35,11 +36,24 @@ TEST(EndpointTest, PolicyMessageRoundTrips) {
 }
 
 TEST(EndpointTest, WireFormatIsVersionedAndReadable) {
-  const std::string wire = serialize(sample_message());
-  EXPECT_NE(wire.find("powerstack-sample v1"), std::string::npos);
-  EXPECT_NE(wire.find("sequence 7"), std::string::npos);
-  EXPECT_NE(wire.find("job lulesh-512"), std::string::npos);
-  EXPECT_NE(wire.find("observed 214.125 220.000"), std::string::npos);
+  // The one sample grammar, field by field: the tag names the message,
+  // and every field is present in a fixed order.
+  EXPECT_EQ(test::hex(serialize(sample_message())),
+            "01"                                  // tag: sample
+            "07"                                  // sequence 7
+            "0a" "6c756c6573682d353132"           // job "lulesh-512"
+            "0000000000006340"                    // min_cap 152
+            "02" "0000000000c46a40"               // observed 214.125
+            "0000000000806b40"                    //          220
+            "02" "0000000000006340"               // needed 152
+            "0000000000786840"                    //        195.75
+            "0000000000000000"                    // gpu_min_cap 0
+            "0000000000000000"                    // gpu_tdp 0
+            "00"                                  // gpu_observed: none
+            "00"                                  // gpu_needed: none
+            "01");                                // sla_class standard
+  EXPECT_EQ(wire_message_kind(serialize(sample_message())),
+            WireMessageKind::kSample);
 }
 
 TEST(EndpointTest, QueuesDeliverInOrder) {
@@ -57,19 +71,23 @@ TEST(EndpointTest, QueuesDeliverInOrder) {
 }
 
 TEST(EndpointTest, MalformedMessagesRejected) {
+  const std::string sample = serialize(sample_message());
   EXPECT_THROW(static_cast<void>(parse_sample_message("")),
                ps::InvalidArgument);
+  // The text form of earlier builds is not a tag.
   EXPECT_THROW(static_cast<void>(parse_sample_message(
-                   "powerstack-sample v2\nsequence 1\njob x\nmin_cap 1\n"
-                   "observed 1\nneeded 1\n")),
+                   "powerstack-sample v1\nsequence 1\njob x\n")),
                ps::InvalidArgument);
-  EXPECT_THROW(static_cast<void>(parse_policy_message(
-                   "powerstack-policy v1\nsequence 1\njob x\n")),
+  // A policy parser refuses a sample, and a truncated sample is refused.
+  EXPECT_THROW(static_cast<void>(parse_policy_message(sample)),
+               ps::InvalidArgument);
+  EXPECT_THROW(static_cast<void>(parse_sample_message(
+                   sample.substr(0, sample.size() - 1))),
                ps::InvalidArgument);
   // Host-count mismatch between observed and needed.
-  EXPECT_THROW(static_cast<void>(parse_sample_message(
-                   "powerstack-sample v1\nsequence 1\njob x\nmin_cap 1\n"
-                   "observed 1 2\nneeded 1\n")),
+  SampleMessage mismatched = sample_message();
+  mismatched.host_needed_watts.pop_back();
+  EXPECT_THROW(static_cast<void>(parse_sample_message(serialize(mismatched))),
                ps::InvalidArgument);
 }
 

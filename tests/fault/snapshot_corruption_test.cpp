@@ -15,12 +15,13 @@
 #include "ha/replication.hpp"
 #include "net/daemon.hpp"
 #include "util/error.hpp"
+#include "../wire_bytes.hpp"
 
 namespace ps::net {
 namespace {
 
-/// One snapshot per on-disk grammar version, so the matrix sweeps every
-/// section the codec can emit.
+/// A CPU-only, a GPU and a fenced snapshot, so the matrix sweeps every
+/// field the codec can emit with a non-default value.
 DaemonSnapshot make_v2() {
   DaemonSnapshot snapshot;
   snapshot.system_budget_watts = 2880.0;
@@ -47,47 +48,44 @@ DaemonSnapshot make_v4() {
   return snapshot;
 }
 
-// Both matrices stop one byte short of the end: the final byte is the
-// trailing newline, and losing (or whitespace-mangling) it alone leaves
-// every guarded byte intact — cosmetic, not corruption.
-void expect_every_prefix_refused(const std::string& text,
-                                 const char* version) {
-  for (std::size_t length = 0; length + 1 < text.size(); ++length) {
+// Every byte is guarded: the CRC-32 trailer covers everything before it
+// and is itself the last four bytes.
+void expect_every_prefix_refused(const std::string& bytes,
+                                 const char* shape) {
+  for (std::size_t length = 0; length < bytes.size(); ++length) {
     EXPECT_THROW(
-        static_cast<void>(parse_snapshot(text.substr(0, length))),
+        static_cast<void>(parse_snapshot(bytes.substr(0, length))),
         ps::Error)
-        << version << " truncated to " << length << " bytes parsed";
+        << shape << " truncated to " << length << " bytes parsed";
   }
 }
 
-void expect_every_flip_refused(const std::string& text,
-                               const char* version) {
-  for (std::size_t index = 0; index + 1 < text.size(); ++index) {
-    std::string corrupted = text;
-    corrupted[index] =
-        static_cast<char>(static_cast<unsigned char>(corrupted[index]) ^ 1u);
-    EXPECT_THROW(static_cast<void>(parse_snapshot(corrupted)), ps::Error)
-        << version << " with byte " << index << " flipped parsed";
+void expect_every_flip_refused(const std::string& bytes, const char* shape) {
+  for (std::size_t index = 0; index < bytes.size(); ++index) {
+    EXPECT_THROW(static_cast<void>(parse_snapshot(test::flip(bytes, index))),
+                 ps::Error)
+        << shape << " with byte " << index << " flipped parsed";
   }
 }
 
 TEST(SnapshotCorruptionTest, EveryTruncationIsRefused) {
-  expect_every_prefix_refused(serialize(make_v2()), "v2");
-  expect_every_prefix_refused(serialize(make_v3()), "v3");
-  expect_every_prefix_refused(serialize(make_v4()), "v4");
+  expect_every_prefix_refused(serialize(make_v2()), "cpu-only");
+  expect_every_prefix_refused(serialize(make_v3()), "gpu");
+  expect_every_prefix_refused(serialize(make_v4()), "fenced");
 }
 
 TEST(SnapshotCorruptionTest, EverySingleByteFlipIsRefused) {
-  expect_every_flip_refused(serialize(make_v2()), "v2");
-  expect_every_flip_refused(serialize(make_v3()), "v3");
-  expect_every_flip_refused(serialize(make_v4()), "v4");
+  expect_every_flip_refused(serialize(make_v2()), "cpu-only");
+  expect_every_flip_refused(serialize(make_v3()), "gpu");
+  expect_every_flip_refused(serialize(make_v4()), "fenced");
 }
 
 TEST(SnapshotCorruptionTest, CorruptFileDegradesTheDaemonToAColdStart) {
   const std::string path = "/tmp/ps-snapcorrupt-" +
                            std::to_string(::getpid()) + ".snap";
-  std::string corrupted = serialize(make_v4());
-  corrupted[corrupted.find("181.25")] = '9';
+  const std::string clean = serialize(make_v4());
+  const std::string corrupted =
+      test::flip(clean, test::find_f64(clean, 181.25));
   {
     std::ofstream out(path, std::ios::trunc | std::ios::binary);
     out << corrupted;
@@ -108,28 +106,31 @@ TEST(SnapshotCorruptionTest, CorruptFileDegradesTheDaemonToAColdStart) {
 // whose embedded state fails validation never replaces replicated state.
 TEST(SnapshotCorruptionTest, CorruptReplicationPayloadIsRefusedByTheHaCodec) {
   const DaemonSnapshot state = make_v4();
+  ha::HaStateUpdate update;
+  update.state = state;
+  update.fence_epoch = state.fence_epoch;
+  update.rounds = state.allocations;
+  const std::string payload = ha::serialize(update);
   const std::string clean = serialize(state);
-  const std::string header = "powerstack-ha-update v1\nfence 2\nrounds 7\n"
-                             "state\n";
+  // The update ends with the snapshot bytes, length-prefixed.
+  ASSERT_EQ(payload.substr(payload.size() - clean.size()), clean);
+  const std::size_t state_at = payload.size() - clean.size();
 
   // The clean payload parses — the matrix below fails for corruption,
   // not because the harness assembled the frame wrong.
-  ASSERT_EQ(ha::parse_state_update(header + clean).state, state);
+  ASSERT_EQ(ha::parse_state_update(payload).state, state);
 
-  for (std::size_t index = 0; index + 1 < clean.size(); ++index) {
-    std::string corrupted = clean;
-    corrupted[index] =
-        static_cast<char>(static_cast<unsigned char>(corrupted[index]) ^ 1u);
+  for (std::size_t index = state_at; index < payload.size(); ++index) {
     EXPECT_THROW(
-        static_cast<void>(ha::parse_state_update(header + corrupted)),
+        static_cast<void>(ha::parse_state_update(test::flip(payload, index))),
         ps::Error)
-        << "update with state byte " << index << " flipped parsed";
+        << "update with state byte " << index - state_at << " flipped parsed";
   }
-  for (std::size_t length = 0; length + 1 < clean.size(); ++length) {
+  for (std::size_t length = 0; length < payload.size(); ++length) {
     EXPECT_THROW(static_cast<void>(ha::parse_state_update(
-                     header + clean.substr(0, length))),
+                     payload.substr(0, length))),
                  ps::Error)
-        << "update with state truncated to " << length << " bytes parsed";
+        << "update truncated to " << length << " bytes parsed";
   }
 }
 

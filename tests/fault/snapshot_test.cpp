@@ -7,7 +7,9 @@
 #include <fstream>
 #include <string>
 
+#include "core/wire.hpp"
 #include "util/error.hpp"
+#include "../wire_bytes.hpp"
 
 namespace ps::net {
 namespace {
@@ -54,22 +56,22 @@ TEST(SnapshotTest, AllocatedWattsSumsEveryJob) {
 }
 
 TEST(SnapshotTest, ChecksumGuardsTheWholeBody) {
-  std::string text = serialize(example_snapshot());
-  // Flip one digit somewhere in a caps line: still a perfectly valid
-  // grammar, so only the checksum can tell.
-  const std::size_t pos = text.find("181.25");
+  const std::string bytes = serialize(example_snapshot());
+  // Flip the lowest mantissa bit of one cap: still a perfectly valid
+  // grammar (a finite, non-negative watt value), so only the checksum
+  // can tell.
+  const std::size_t pos = test::find_f64(bytes, 181.25);
   ASSERT_NE(pos, std::string::npos);
-  text[pos] = '2';
-  EXPECT_THROW(static_cast<void>(parse_snapshot(text)), Error);
+  EXPECT_THROW(static_cast<void>(parse_snapshot(test::flip(bytes, pos))),
+               Error);
 }
 
 TEST(SnapshotTest, RejectsTruncatedInput) {
-  const std::string text = serialize(example_snapshot());
-  // Drop the trailing checksum line — the shape a torn write leaves.
-  const std::size_t cut = text.rfind("checksum");
-  ASSERT_NE(cut, std::string::npos);
-  EXPECT_THROW(static_cast<void>(parse_snapshot(text.substr(0, cut))),
-               Error);
+  const std::string bytes = serialize(example_snapshot());
+  // Drop the 4-byte CRC-32 trailer — the shape a torn write leaves.
+  EXPECT_THROW(
+      static_cast<void>(parse_snapshot(bytes.substr(0, bytes.size() - 4))),
+      Error);
   EXPECT_THROW(static_cast<void>(parse_snapshot("")), Error);
 }
 
@@ -101,16 +103,16 @@ TEST(SnapshotTest, SaveLoadRoundTripsThroughDisk) {
 DaemonSnapshot hetero_snapshot() {
   DaemonSnapshot snapshot = example_snapshot();
   // lulesh gains a GPU domain; amg stays CPU-only — the mixed-cluster
-  // shape that forces the v3 bare-gpu_caps line.
+  // shape, where a CPU-only job writes an empty GPU caps vector.
   snapshot.jobs[0].gpu_caps_watts = {800.0 / 7.0, 215.375, 290.0 / 3.0};
   return snapshot;
 }
 
 TEST(SnapshotTest, V3RoundTripsGpuCapsExactly) {
   const DaemonSnapshot snapshot = hetero_snapshot();
-  const std::string text = serialize(snapshot);
-  EXPECT_EQ(text.rfind("powerstack-snapshot v3\n", 0), 0u);
-  const DaemonSnapshot parsed = parse_snapshot(text);
+  const std::string bytes = serialize(snapshot);
+  EXPECT_EQ(core::wire::peek_tag(bytes), core::wire::Tag::kSnapshot);
+  const DaemonSnapshot parsed = parse_snapshot(bytes);
   EXPECT_EQ(parsed, snapshot);
   // allocated_watts() spans both domains.
   double expected = 0.0;
@@ -126,22 +128,46 @@ TEST(SnapshotTest, V3RoundTripsGpuCapsExactly) {
 }
 
 TEST(SnapshotTest, V3MixedClusterKeepsCpuOnlyJobsBare) {
-  // Single-domain jobs of a mixed cluster write a bare `gpu_caps` line
-  // so the per-job line count stays fixed — and parse back empty.
-  const std::string text = serialize(hetero_snapshot());
-  EXPECT_NE(text.find("\ngpu_caps\n"), std::string::npos);
-  const DaemonSnapshot parsed = parse_snapshot(text);
+  // A single-domain job of a mixed cluster writes its GPU caps as one
+  // zero count byte right after its caps — and parses back empty.
+  const DaemonSnapshot snapshot = hetero_snapshot();
+  const std::string bytes = serialize(snapshot);
+  const std::size_t last_cap =
+      test::find_f64(bytes, snapshot.jobs[1].caps_watts.back());
+  ASSERT_NE(last_cap, std::string::npos);
+  EXPECT_EQ(bytes[last_cap + 8], '\0');
+  const DaemonSnapshot parsed = parse_snapshot(bytes);
   ASSERT_EQ(parsed.jobs.size(), 2u);
   EXPECT_FALSE(parsed.jobs[0].gpu_caps_watts.empty());
   EXPECT_TRUE(parsed.jobs[1].gpu_caps_watts.empty());
 }
 
 TEST(SnapshotTest, CpuOnlySnapshotStaysV2ByteCompatible) {
-  // No GPU caps anywhere: the header stays v2 and no gpu_caps line is
-  // emitted, so pre-hetero snapshot files are byte-identical.
-  const std::string text = serialize(example_snapshot());
-  EXPECT_EQ(text.rfind("powerstack-snapshot v2\n", 0), 0u);
-  EXPECT_EQ(text.find("gpu_caps"), std::string::npos);
+  // A CPU-only snapshot in the one snapshot grammar, pinned byte for
+  // byte, CRC-32 trailer included.
+  DaemonSnapshot snapshot;
+  snapshot.system_budget_watts = 2'880.0;
+  snapshot.launch_barrier_met = true;
+  snapshot.allocations = 7;
+  SnapshotJob job;
+  job.name = "a";
+  job.sequence = 6;
+  job.caps_watts = {181.25};
+  snapshot.jobs = {job};
+  const std::string bytes = serialize(snapshot);
+  EXPECT_EQ(test::hex(bytes),
+            "06"                      // tag: snapshot
+            "000000000080a640"        // budget 2880
+            "00"                      // budget_epoch 0
+            "00"                      // fence 0
+            "01"                      // barrier met
+            "07"                      // allocations 7
+            "01"                      // one job:
+            "0161" "06"               //   "a", sequence 6
+            "01" "0000000000a86640"   //   caps 181.25
+            "00"                      //   no GPU caps
+            "121d3ad9");              // CRC-32 of the bytes before it
+  EXPECT_EQ(parse_snapshot(bytes), snapshot);
 }
 
 TEST(SnapshotTest, RejectsGpuCapsCountMismatch) {
@@ -153,11 +179,11 @@ TEST(SnapshotTest, RejectsGpuCapsCountMismatch) {
 }
 
 TEST(SnapshotTest, ChecksumGuardsTheGpuLineToo) {
-  std::string text = serialize(hetero_snapshot());
-  const std::size_t pos = text.find("215.375");
+  const std::string bytes = serialize(hetero_snapshot());
+  const std::size_t pos = test::find_f64(bytes, 215.375);
   ASSERT_NE(pos, std::string::npos);
-  text[pos] = '3';
-  EXPECT_THROW(static_cast<void>(parse_snapshot(text)), Error);
+  EXPECT_THROW(static_cast<void>(parse_snapshot(test::flip(bytes, pos))),
+               Error);
 }
 
 TEST(SnapshotTest, MissingFileLoadsAsColdStart) {
@@ -166,11 +192,19 @@ TEST(SnapshotTest, MissingFileLoadsAsColdStart) {
 
 TEST(SnapshotTest, CorruptFileLoadsAsColdStart) {
   const std::string path = unique_path("corrupt");
-  {
-    std::ofstream out(path);
-    out << "powerstack-snapshot v1\nbudget garbage\n";
+  // Garbage, and a well-formed snapshot in the text form earlier builds
+  // wrote: neither is this grammar, so both restart cold.
+  for (const char* contents :
+       {"powerstack-snapshot v1\nbudget garbage\n",
+        "powerstack-snapshot v2\nbudget 2880\nbudget_epoch 0\nbarrier 1\n"
+        "allocations 7\njobs 1\njob a\nsequence 6\ncaps 181.25\n"
+        "checksum 00000000\n"}) {
+    {
+      std::ofstream out(path);
+      out << contents;
+    }
+    EXPECT_EQ(load_snapshot(path), std::nullopt);
   }
-  EXPECT_EQ(load_snapshot(path), std::nullopt);
   std::remove(path.c_str());
 }
 

@@ -22,6 +22,7 @@
 #include "net/socket.hpp"
 #include "net/transport.hpp"
 #include "util/error.hpp"
+#include "../wire_bytes.hpp"
 
 namespace ps::ha {
 namespace {
@@ -298,11 +299,10 @@ TEST(StandbyDaemonTest, RejectsStaleFenceAndCorruptUpdates) {
   corrupt.state = make_state(2);
   corrupt.fence_epoch = 2;
   corrupt.rounds = corrupt.state.allocations;
-  std::string payload = serialize(corrupt);
-  const std::size_t pos = payload.find("215.5");
+  const std::string payload = serialize(corrupt);
+  const std::size_t pos = test::find_f64(payload, 215.5);
   ASSERT_NE(pos, std::string::npos);
-  payload[pos] = '9';
-  send(payload);
+  send(test::flip(payload, pos));
   ASSERT_TRUE(
       eventually([&] { return standby.stats().updates_rejected >= 2; }));
   EXPECT_EQ(standby.stats().updates_applied, 1u);

@@ -6,8 +6,10 @@
 // of the same audit: evicting one job bound through a rack session must
 // unbind that job without closing the rack session the surviving jobs
 // still depend on, and a rack session must list each job it binds once,
-// so a close puts every job into grace and expiry reclaims each once.
-// The last cases pin the shared session layer's own
+// so a close puts every job into grace and expiry reclaims each once —
+// also when a whole rack's jobs expire together as one eviction batch. A
+// rack frame whose job count lies past its payload is a protocol error
+// on that link only. The last cases pin the shared session layer's own
 // semantics: read dispatch order, the would-block write path, and the
 // idle sweep sparing the aggregator's parent link.
 #include <gtest/gtest.h>
@@ -25,6 +27,8 @@
 #include <vector>
 
 #include "core/endpoint.hpp"
+#include "core/invariants.hpp"
+#include "core/wire.hpp"
 #include "net/aggregator.hpp"
 #include "net/daemon.hpp"
 #include "net/event_loop.hpp"
@@ -173,7 +177,7 @@ TEST(BatchedWriteTest, DisconnectDuringBatchedFlushReclaimsWattsExactlyOnce) {
   options.transport_wrapper =
       [&fail_victim_writes](std::unique_ptr<Transport> inner) {
         return std::make_unique<VictimTransport>(
-            std::move(inner), "job a-victim", fail_victim_writes);
+            std::move(inner), "a-victim", fail_victim_writes);
       };
   PowerDaemon daemon(options);
   const std::string socket_path = unique_path("flush");
@@ -443,6 +447,117 @@ TEST(BatchedWriteTest, RackListsEachJobOnceThroughGraceRebindAndExpiry) {
   EXPECT_NEAR(stats.watts_reclaimed, stored_watts, 1e-6);
   EXPECT_GT(stored_watts, 0.0);
 
+  root.stop();
+  serving.join();
+  std::remove(socket_path.c_str());
+}
+
+TEST(BatchedWriteTest, MassGraceExpiryReclaimsEveryJobOnceInOneBatch) {
+  // Every job of a closed rack enters grace at the same instant, so one
+  // tick expires them together and evicts them as one batch: each job is
+  // reclaimed exactly once, the reclaimed watts are exactly the caps the
+  // rack last held, and the batch's watt-conservation check holds.
+  constexpr std::size_t kJobs = 64;
+  DaemonOptions options;
+  options.system_budget_watts = 2.0 * 210.0 * kJobs;
+  options.node_tdp_watts = 256.0;
+  options.uncappable_watts = 16.0;
+  options.min_jobs = kJobs;
+  options.tick_interval = milliseconds(10);
+  options.reclaim_timeout = milliseconds(300);
+  options.heartbeat_timeout = milliseconds(60'000);
+  options.root_mode = true;
+  PowerDaemon root(options);
+  const std::string socket_path = unique_path("mass-expiry");
+  root.listen_unix(socket_path);
+  std::thread serving([&root] { root.run(); });
+  const std::uint64_t violations_before =
+      core::invariants::stats().violations;
+
+  std::vector<std::string> jobs;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "job-%03zu", j);
+    jobs.emplace_back(name);  // zero-padded: name order is index order
+  }
+  double last_caps_watts = 0.0;
+  {
+    Socket rack = connect_unix(socket_path);
+    FrameDecoder decoder;
+    rack_round(rack, decoder, jobs, 0);
+    const core::RackPolicyMessage last = rack_round(rack, decoder, jobs, 1);
+    for (const core::PolicyMessage& policy : last.policies) {
+      for (const double cap : policy.host_caps_watts) {
+        last_caps_watts += cap;
+      }
+    }
+    rack.close();
+  }
+  EXPECT_GT(last_caps_watts, 0.0);
+
+  EXPECT_TRUE(wait_for([&] { return root.stats().jobs_evicted >= kJobs; },
+                       milliseconds(5000)));
+  std::this_thread::sleep_for(milliseconds(100));  // ~10 more ticks
+  const DaemonStats stats = root.stats();
+  EXPECT_EQ(stats.jobs_evicted, kJobs);
+  EXPECT_EQ(stats.rack_jobs, 0u);
+  EXPECT_NEAR(stats.watts_reclaimed, last_caps_watts,
+              1e-9 * last_caps_watts);
+  EXPECT_EQ(core::invariants::stats().violations, violations_before)
+      << core::invariants::last_violation();
+
+  root.stop();
+  serving.join();
+  std::remove(socket_path.c_str());
+}
+
+TEST(BatchedWriteTest, RootSurvivesARackFrameClaimingTwoToTheSixtyTwoJobs) {
+  // A well-framed rack-sample frame whose job count (2^62) no payload
+  // could hold is a protocol error on that link — refused before any
+  // allocation, never an exception that escapes the daemon's loop — and
+  // the root goes on serving an honest rack.
+  DaemonOptions options;
+  options.system_budget_watts = 4.0 * 210.0;
+  options.node_tdp_watts = 256.0;
+  options.uncappable_watts = 16.0;
+  options.min_jobs = 2;
+  options.tick_interval = milliseconds(10);
+  options.reclaim_timeout = milliseconds(60'000);
+  options.heartbeat_timeout = milliseconds(60'000);
+  options.root_mode = true;
+  PowerDaemon root(options);
+  const std::string socket_path = unique_path("hostile-count");
+  root.listen_unix(socket_path);
+  std::thread serving([&root] { root.run(); });
+
+  {
+    core::wire::Writer hostile(core::wire::Tag::kRackSample);
+    hostile.string("r-hostile");
+    hostile.varint(1);
+    hostile.varint(std::uint64_t{1} << 62);
+    // One honest sample body follows the lying count.
+    const std::string sample = serialize(make_sample("a", 1));
+    Socket link = connect_unix(socket_path);
+    send_payload(link, std::move(hostile).take() + sample.substr(1));
+    // The daemon closes the link: EOF, not a reply.
+    FrameDecoder decoder;
+    EXPECT_FALSE(read_payload(link, decoder, milliseconds(5000)).has_value());
+  }
+  EXPECT_TRUE(wait_for([&] { return root.stats().protocol_errors == 1; },
+                       milliseconds(5000)));
+
+  Socket rack = connect_unix(socket_path);
+  FrameDecoder decoder;
+  const core::RackPolicyMessage reply =
+      rack_round(rack, decoder, {"a", "b"}, 0);
+  EXPECT_EQ(reply.rack, "r0");
+  EXPECT_DOUBLE_EQ(reply.rack_budget_watts, options.system_budget_watts);
+  const DaemonStats stats = root.stats();
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.allocations, 1u);
+  EXPECT_EQ(stats.rack_sessions, 1u);
+
+  rack.close();
   root.stop();
   serving.join();
   std::remove(socket_path.c_str());
