@@ -27,6 +27,10 @@ std::string hex_address(std::uint32_t address) {
   out << "0x" << std::hex << address;
   return out.str();
 }
+
+[[noreturn]] void throw_unlisted(std::uint32_t address) {
+  throw NotFound("MSR " + hex_address(address) + " is not allowlisted");
+}
 }  // namespace
 
 std::vector<MsrAccessEntry> parse_msr_allowlist(std::string_view text) {
@@ -77,57 +81,63 @@ std::vector<MsrAccessEntry> parse_msr_allowlist(std::string_view text) {
 
 MsrFile::MsrFile() : MsrFile(default_allowlist()) {}
 
-MsrFile::MsrFile(std::vector<MsrAccessEntry> allowlist)
-    : allowlist_(std::move(allowlist)) {}
-
-const MsrAccessEntry* MsrFile::find_entry(
-    std::uint32_t address) const noexcept {
-  for (const auto& entry : allowlist_) {
-    if (entry.address == address) {
-      return &entry;
-    }
+MsrFile::MsrFile(std::vector<MsrAccessEntry> allowlist) {
+  registers_.reserve(allowlist.size());
+  for (const MsrAccessEntry& entry : allowlist) {
+    registers_.push_back({entry.address, true, entry.write_mask, 0});
   }
-  return nullptr;
+}
+
+MsrFile::Register* MsrFile::find(std::uint32_t address) noexcept {
+  const auto it = std::ranges::find(registers_, address, &Register::address);
+  return it == registers_.end() ? nullptr : &*it;
+}
+
+const MsrFile::Register* MsrFile::find(std::uint32_t address) const noexcept {
+  const auto it = std::ranges::find(registers_, address, &Register::address);
+  return it == registers_.end() ? nullptr : &*it;
 }
 
 std::uint64_t MsrFile::read(std::uint32_t address) const {
-  const MsrAccessEntry* entry = find_entry(address);
-  if (entry == nullptr) {
-    throw NotFound("MSR " + hex_address(address) + " is not allowlisted");
+  const Register* reg = find(address);
+  if (reg == nullptr || !reg->listed) {
+    throw_unlisted(address);
   }
-  return hw_load(address);
+  return reg->value;
 }
 
 void MsrFile::write(std::uint32_t address, std::uint64_t value) {
-  const MsrAccessEntry* entry = find_entry(address);
-  if (entry == nullptr) {
-    throw NotFound("MSR " + hex_address(address) + " is not allowlisted");
+  Register* reg = find(address);
+  if (reg == nullptr || !reg->listed) {
+    throw_unlisted(address);
   }
-  if (entry->write_mask == 0) {
+  if (reg->write_mask == 0) {
     throw NotFound("MSR " + hex_address(address) + " is read-only");
   }
-  const std::uint64_t current = hw_load(address);
-  const std::uint64_t merged =
-      (current & ~entry->write_mask) | (value & entry->write_mask);
-  hw_store(address, merged);
+  reg->value = (reg->value & ~reg->write_mask) | (value & reg->write_mask);
 }
 
 void MsrFile::hw_store(std::uint32_t address, std::uint64_t value) {
-  registers_[address] = value;
+  if (Register* reg = find(address)) {
+    reg->value = value;
+  } else {
+    registers_.push_back({address, false, 0, value});
+  }
 }
 
 std::uint64_t MsrFile::hw_load(std::uint32_t address) const noexcept {
-  const auto it = registers_.find(address);
-  return it == registers_.end() ? 0 : it->second;
+  const Register* reg = find(address);
+  return reg == nullptr ? 0 : reg->value;
 }
 
 bool MsrFile::is_readable(std::uint32_t address) const noexcept {
-  return find_entry(address) != nullptr;
+  const Register* reg = find(address);
+  return reg != nullptr && reg->listed;
 }
 
 bool MsrFile::is_writable(std::uint32_t address) const noexcept {
-  const MsrAccessEntry* entry = find_entry(address);
-  return entry != nullptr && entry->write_mask != 0;
+  const Register* reg = find(address);
+  return reg != nullptr && reg->listed && reg->write_mask != 0;
 }
 
 }  // namespace ps::hw

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace ps::hw {
@@ -39,6 +38,10 @@ struct MsrAccessEntry {
 /// implemented on top of these registers exactly as the real driver stack
 /// (msr-safe -> libmsr/GEOPM PlatformIO) layers on real MSRs, including the
 /// 32-bit wrapping energy counter.
+///
+/// Registers live in one flat array, allowlisted ones first in allowlist
+/// order, so a lookup is a short linear scan with no hashing (a RAPL
+/// package uses four registers). Copies are independent values.
 class MsrFile {
  public:
   /// Constructs with the default allowlist (RAPL registers, as msr-safe
@@ -64,10 +67,20 @@ class MsrFile {
   [[nodiscard]] bool is_writable(std::uint32_t address) const noexcept;
 
  private:
-  const MsrAccessEntry* find_entry(std::uint32_t address) const noexcept;
+  /// One register slot. The allowlist's entries come first; addresses the
+  /// hardware stores off the allowlist are appended with `listed` false.
+  /// A slot that was never stored holds 0, as an unwritten register reads.
+  struct Register {
+    std::uint32_t address = 0;
+    bool listed = false;
+    std::uint64_t write_mask = 0;
+    std::uint64_t value = 0;
+  };
 
-  std::vector<MsrAccessEntry> allowlist_;
-  std::unordered_map<std::uint32_t, std::uint64_t> registers_;
+  [[nodiscard]] Register* find(std::uint32_t address) noexcept;
+  [[nodiscard]] const Register* find(std::uint32_t address) const noexcept;
+
+  std::vector<Register> registers_;
 };
 
 }  // namespace ps::hw

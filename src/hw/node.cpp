@@ -33,11 +33,11 @@ double NodeModel::eta_of(std::size_t socket) const {
   return etas_[socket];
 }
 
-std::vector<double> NodeModel::split_node_cap(double node_watts) const {
+NodeModel::SocketCaps NodeModel::split_node_cap(double node_watts) const {
   const double package_total = node_watts - params_.dram_watts;
-  const std::size_t count = packages_.size();
-  std::vector<double> caps(count,
-                           package_total / static_cast<double>(count));
+  SocketCaps caps{};
+  const auto count = static_cast<double>(caps.size());
+  caps.fill(package_total / count);
   if (params_.cap_split == CapSplitPolicy::kEfficiencyAware) {
     // Equal package frequencies need (C_i - idle) proportional to eta_i:
     // C_i = idle + eta_i * k with sum(C_i) = package_total.
@@ -45,10 +45,9 @@ std::vector<double> NodeModel::split_node_cap(double node_watts) const {
     for (double eta : etas_) {
       eta_sum += eta;
     }
-    const double k = (package_total -
-                      static_cast<double>(count) * params_.power.idle_watts) /
-                     eta_sum;
-    for (std::size_t s = 0; s < count; ++s) {
+    const double k =
+        (package_total - count * params_.power.idle_watts) / eta_sum;
+    for (std::size_t s = 0; s < caps.size(); ++s) {
       caps[s] = params_.power.idle_watts + etas_[s] * std::max(k, 0.0);
     }
   }
@@ -58,7 +57,7 @@ std::vector<double> NodeModel::split_node_cap(double node_watts) const {
 double NodeModel::set_power_cap(double node_watts) {
   PS_REQUIRE(std::isfinite(node_watts) && node_watts > params_.dram_watts,
              "node power cap must exceed the uncappable DRAM power");
-  const std::vector<double> split = split_node_cap(node_watts);
+  const SocketCaps split = split_node_cap(node_watts);
   double applied = params_.dram_watts;
   for (std::size_t s = 0; s < packages_.size(); ++s) {
     applied += packages_[s].set_power_limit(split[s]);
@@ -234,7 +233,7 @@ PhaseResult NodeModel::preview_compute(double gigabytes, double intensity,
   const double clamped =
       std::clamp(frequency_cap_ghz, params_.power.min_frequency_ghz,
                  params_.power.max_frequency_ghz);
-  std::vector<double> split = split_node_cap(node_cap_watts);
+  SocketCaps split = split_node_cap(node_cap_watts);
   // Previews honor the same firmware clamping a real write would apply.
   for (double& cap : split) {
     cap = std::clamp(cap, params_.min_rapl_per_socket_watts,
@@ -246,7 +245,7 @@ PhaseResult NodeModel::preview_compute(double gigabytes, double intensity,
 double NodeModel::poll_power(double node_cap_watts) const {
   PS_REQUIRE(node_cap_watts > params_.dram_watts,
              "node cap must exceed the uncappable DRAM power");
-  std::vector<double> split = split_node_cap(node_cap_watts);
+  SocketCaps split = split_node_cap(node_cap_watts);
   for (double& cap : split) {
     cap = std::clamp(cap, params_.min_rapl_per_socket_watts,
                      1.5 * params_.tdp_per_socket_watts);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -177,8 +178,11 @@ class NodeModel {
   /// Splits node energy between the DRAM plane and the RAPL counters.
   void accrue_energy(double node_joules, double seconds);
 
+  /// One cap per package; nodes are dual-socket by construction.
+  using SocketCaps = std::array<double, QuartzSpec::kSocketsPerNode>;
+
   /// Per-package cap split for a node-level cap, honoring cap_split.
-  [[nodiscard]] std::vector<double> split_node_cap(double node_watts) const;
+  [[nodiscard]] SocketCaps split_node_cap(double node_watts) const;
 
   /// Memo key: every input that reaches the compute solver. Caps are
   /// sampled from the live package registers on every lookup rather than

@@ -33,28 +33,24 @@ RaplPackageDomain::RaplPackageDomain(double tdp_watts, double min_watts)
   PS_REQUIRE(min_watts > 0.0 && min_watts <= tdp_watts,
              "min RAPL limit must be in (0, TDP]");
   msrs_.hw_store(msr::kRaplPowerUnit, kRaplUnitValue);
-  const double unit = power_unit_watts();
-  const std::uint64_t info = encode_power(tdp_watts_, unit) |
-                             (encode_power(min_watts_, unit) << 16);
+  // Decoded once: the register is read-only (see rapl.hpp). Each unit is
+  // 2^-exponent, the power exponent in bits 3:0, the energy one in 12:8.
+  const std::uint64_t units = msrs_.hw_load(msr::kRaplPowerUnit);
+  power_unit_watts_ = 1.0 / static_cast<double>(1ULL << (units & 0xf));
+  energy_unit_joules_ =
+      1.0 / static_cast<double>(1ULL << ((units >> 8) & 0x1f));
+  const std::uint64_t info =
+      encode_power(tdp_watts_, power_unit_watts_) |
+      (encode_power(min_watts_, power_unit_watts_) << 16);
   msrs_.hw_store(msr::kPkgPowerInfo, info);
   set_power_limit(tdp_watts_);
-}
-
-double RaplPackageDomain::power_unit_watts() const noexcept {
-  const std::uint64_t units = msrs_.hw_load(msr::kRaplPowerUnit);
-  return 1.0 / static_cast<double>(1ULL << (units & 0xf));
-}
-
-double RaplPackageDomain::energy_unit_joules() const noexcept {
-  const std::uint64_t units = msrs_.hw_load(msr::kRaplPowerUnit);
-  return 1.0 / static_cast<double>(1ULL << ((units >> 8) & 0x1f));
 }
 
 double RaplPackageDomain::set_power_limit(double watts) {
   PS_REQUIRE(std::isfinite(watts), "power limit must be finite");
   const double clamped =
       std::clamp(watts, min_watts_, 1.5 * tdp_watts_);
-  const std::uint64_t encoded = encode_power(clamped, power_unit_watts());
+  const std::uint64_t encoded = encode_power(clamped, power_unit_watts_);
   msrs_.write(msr::kPkgPowerLimit,
               encoded | kPowerLimitEnableBit | kPowerLimitClampBit);
   return power_limit();
@@ -62,12 +58,12 @@ double RaplPackageDomain::set_power_limit(double watts) {
 
 double RaplPackageDomain::power_limit() const {
   const std::uint64_t raw = msrs_.hw_load(msr::kPkgPowerLimit);
-  return static_cast<double>(raw & kPowerLimitFieldMask) * power_unit_watts();
+  return static_cast<double>(raw & kPowerLimitFieldMask) * power_unit_watts_;
 }
 
 void RaplPackageDomain::accumulate_energy(double joules) {
   PS_REQUIRE(joules >= 0.0, "energy cannot decrease");
-  fractional_energy_ += joules / energy_unit_joules();
+  fractional_energy_ += joules / energy_unit_joules_;
   const double whole = std::floor(fractional_energy_);
   fractional_energy_ -= whole;
   const auto counter =
@@ -87,7 +83,7 @@ double RaplPackageDomain::read_energy_joules() {
   const std::uint32_t counter = read_energy_counter();
   const std::uint32_t delta = counter - last_counter_;  // modular arithmetic
   last_counter_ = counter;
-  unwrapped_joules_ += static_cast<double>(delta) * energy_unit_joules();
+  unwrapped_joules_ += static_cast<double>(delta) * energy_unit_joules_;
   return unwrapped_joules_;
 }
 

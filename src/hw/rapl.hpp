@@ -12,6 +12,11 @@ namespace ps::hw {
 /// MSR_RAPL_POWER_UNIT (power in 1/8 W steps, energy in ~61 uJ steps) and
 /// models the 32-bit wrapping package energy counter, so software layered
 /// on top must handle exactly the quirks real RAPL software handles.
+///
+/// The units are fixed at construction: MSR_RAPL_POWER_UNIT is read-only
+/// (write mask 0) and the domain hands out no mutable view of its MSR
+/// file, so the constructor decodes them once and the hot paths
+/// (power_limit, accumulate_energy) touch one register each.
 class RaplPackageDomain {
  public:
   /// `tdp_watts` populates PKG_POWER_INFO's thermal spec power field;
@@ -42,17 +47,23 @@ class RaplPackageDomain {
   [[nodiscard]] double read_energy_joules();
 
   /// Joules represented by one LSB of the energy counter.
-  [[nodiscard]] double energy_unit_joules() const noexcept;
+  [[nodiscard]] double energy_unit_joules() const noexcept {
+    return energy_unit_joules_;
+  }
   /// Watts represented by one LSB of the power-limit field.
-  [[nodiscard]] double power_unit_watts() const noexcept;
+  [[nodiscard]] double power_unit_watts() const noexcept {
+    return power_unit_watts_;
+  }
 
-  [[nodiscard]] MsrFile& msr_file() noexcept { return msrs_; }
+  /// Read-only view of the registers (software reads through msr-safe).
   [[nodiscard]] const MsrFile& msr_file() const noexcept { return msrs_; }
 
  private:
   double tdp_watts_;
   double min_watts_;
   MsrFile msrs_;
+  double power_unit_watts_ = 0.0;    ///< Decoded from MSR_RAPL_POWER_UNIT.
+  double energy_unit_joules_ = 0.0;  ///< Decoded from MSR_RAPL_POWER_UNIT.
   double fractional_energy_ = 0.0;  ///< Sub-LSB residue awaiting the counter.
   std::uint32_t last_counter_ = 0;
   double unwrapped_joules_ = 0.0;

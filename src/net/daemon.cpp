@@ -468,6 +468,7 @@ void PowerDaemon::evict_jobs(const std::vector<std::string>& names) {
   // Jobs to unbind from each live rack session, removed in one pass per
   // rack after the batch.
   std::map<int, std::unordered_set<std::string>> rack_unbinds;
+  bool evicted_any = false;
   for (const std::string& name : names) {
     const auto it = jobs_.find(name);
     if (it == jobs_.end()) {
@@ -512,6 +513,12 @@ void PowerDaemon::evict_jobs(const std::vector<std::string>& names) {
         completed_rounds(), obs::cat::kNetIo, "evict",
         {{"job", name},
          {"watts_reclaimed", record.have_policy ? reclaimed : 0.0}});
+    evicted_any = true;
+  }
+  if (evicted_any) {
+    // One snapshot per batch: no reply goes out between the batch's
+    // evictions, so the write-ahead guarantee holds without one
+    // serialize-and-fsync per evicted job.
     maybe_write_snapshot();
   }
   for (const auto& [fd, evicted] : rack_unbinds) {
@@ -993,6 +1000,12 @@ void PowerDaemon::allocate_once() {
       ++rack_frames;
       ++fanout_sessions;
     }
+    // Counted before the batch flushes: a client holding its reply must
+    // find it in stats().
+    const std::lock_guard<std::mutex> lock(shared_mutex_);
+    (kept ? stats_.policies_resent : stats_.policies_sent) += sent;
+    (kept ? stats_.rack_policies_resent : stats_.rack_policies_sent) +=
+        rack_frames;
   }
   if (round_latency_ != nullptr) {
     round_latency_->observe(
@@ -1005,10 +1018,6 @@ void PowerDaemon::allocate_once() {
   if (kept && rack_frames > 0) {
     options_.obs.count("net.daemon.rack_policies_resent", rack_frames);
   }
-  const std::lock_guard<std::mutex> lock(shared_mutex_);
-  (kept ? stats_.policies_resent : stats_.policies_sent) += sent;
-  (kept ? stats_.rack_policies_resent : stats_.rack_policies_sent) +=
-      rack_frames;
 }
 
 void PowerDaemon::maybe_write_snapshot() {

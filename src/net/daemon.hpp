@@ -106,8 +106,8 @@ struct DaemonOptions {
   std::uint64_t fence_epoch = 0;
   /// Write-ahead replication sink: invoked with the freshly built state
   /// snapshot at every point the daemon persists (before round replies
-  /// leave, on revision adoption, on eviction) — even when snapshot_path
-  /// is empty. The HA Replicator plugs in here.
+  /// leave, on revision adoption, once per eviction batch) — even when
+  /// snapshot_path is empty. The HA Replicator plugs in here.
   std::function<void(const DaemonSnapshot&)> replication_sink;
   /// Fencing gate: when set and returning true, allocation rounds are
   /// refused (counted in stats.rounds_fenced) — the primary has lost its
@@ -302,7 +302,8 @@ class PowerDaemon {
                     Clock::time_point now);
   void close_session(int fd, NetSession& session, CloseCause cause);
   /// Evicts a batch of jobs (unknown names are skipped) and reclaims
-  /// their watts, with one conservation check over the whole batch.
+  /// their watts, with one conservation check and, when any job was
+  /// evicted, one snapshot over the whole batch.
   void evict_jobs(const std::vector<std::string>& names);
   void queue_message(int fd, NetSession& session,
                      const core::PolicyMessage& message);

@@ -219,6 +219,83 @@ TEST(DaemonRecoveryTest, EvictionReclaimsWattsExactlyOnce) {
   EXPECT_GT(job_a.host_cap(0), cap_while_shared);
 }
 
+/// A mass grace expiry is one eviction batch, and the batch persists once:
+/// no reply leaves between its evictions, so a single write-ahead snapshot
+/// after the batch covers them all. The file then holds exactly the jobs
+/// that reconnected within the grace.
+TEST(DaemonRecoveryTest, MassGraceExpiryWritesOneSnapshotPerBatch) {
+  constexpr std::size_t kDoomed = 24;
+  constexpr std::uint64_t kSequence = 3;
+  const std::vector<std::string> survivors{"survivor-a", "survivor-b"};
+  const double budget = 20'000.0;
+
+  // Every restored record starts its grace at boot, so all the jobs that
+  // do not reconnect expire on the same tick.
+  DaemonSnapshot seeded;
+  seeded.system_budget_watts = budget;
+  seeded.launch_barrier_met = true;
+  seeded.allocations = kSequence;
+  std::vector<std::string> names = survivors;
+  for (std::size_t j = 0; j < kDoomed; ++j) {
+    names.push_back("doomed-" + std::to_string(j));
+  }
+  for (const std::string& name : names) {
+    SnapshotJob job;
+    job.name = name;
+    job.sequence = kSequence;
+    job.caps_watts = {150.0, 150.0};
+    seeded.jobs.push_back(job);
+  }
+  const std::string snapshot_path = unique_path("mass-expiry", ".snap");
+  save_snapshot(snapshot_path, seeded);
+
+  DaemonOptions options;
+  options.system_budget_watts = budget;
+  options.tick_interval = milliseconds(10);
+  options.reclaim_timeout = milliseconds(1'000);
+  options.snapshot_path = snapshot_path;
+  PowerDaemon daemon(options);
+  ASSERT_EQ(daemon.stats().jobs_restored, names.size());
+  std::thread serving([&daemon] { daemon.run(); });
+
+  // The survivors reconnect within the grace and retry their answered
+  // sequence: the daemon resends the stored caps, starting no round.
+  std::vector<RawClient> clients;
+  for (const std::string& name : survivors) {
+    auto [client_end, daemon_end] = loopback_pair();
+    daemon.adopt(std::move(daemon_end));
+    clients.push_back(RawClient{std::move(client_end), FrameDecoder{}});
+    clients.back().send(raw_sample(name, kSequence, 2));
+    const auto policy = clients.back().read_policy(milliseconds(5'000));
+    ASSERT_TRUE(policy.has_value()) << name;
+    EXPECT_EQ(policy->sequence, kSequence);
+  }
+  const DaemonStats before = daemon.stats();
+  ASSERT_EQ(before.jobs_evicted, 0u) << "grace expired before the test ran";
+
+  const auto deadline = steady_clock::now() + milliseconds(10'000);
+  while (daemon.stats().jobs_evicted < kDoomed &&
+         steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(20));
+  }
+  std::this_thread::sleep_for(milliseconds(100));  // ten more ticks
+  const DaemonStats after = daemon.stats();
+  daemon.stop();
+  serving.join();
+
+  EXPECT_EQ(after.jobs_evicted, kDoomed);
+  EXPECT_EQ(after.allocations, before.allocations);
+  EXPECT_EQ(after.snapshots_written, before.snapshots_written + 1);
+  const std::optional<DaemonSnapshot> on_disk = load_snapshot(snapshot_path);
+  std::remove(snapshot_path.c_str());
+  ASSERT_TRUE(on_disk.has_value());
+  std::vector<std::string> kept;
+  for (const SnapshotJob& job : on_disk->jobs) {
+    kept.push_back(job.name);
+  }
+  EXPECT_EQ(kept, survivors);
+}
+
 /// A half-open peer (connected, silent) holding a round hostage is
 /// stall-evicted once the heartbeat window passes, and the round then
 /// completes for the jobs still reporting.

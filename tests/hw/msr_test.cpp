@@ -59,5 +59,73 @@ TEST(MsrFileTest, UnwrittenRegisterReadsZero) {
   EXPECT_EQ(msrs.hw_load(msr::kPkgEnergyStatus), 0u);
 }
 
+TEST(MsrFileTest, HwStoreOverwritesOffListAddressesIndependently) {
+  MsrFile msrs;
+  const std::uint32_t off_list[] = {0x0, 0x1a0, 0x1b1, 0x619, 0xffffffff};
+  for (const std::uint32_t address : off_list) {
+    msrs.hw_store(address, 0x1000ULL + address);
+  }
+  msrs.hw_store(0x1b1, 0xfeedULL);  // overwrite one in the middle
+  msrs.hw_store(0x0, 0x0ULL);       // overwrite one back to zero
+  EXPECT_EQ(msrs.hw_load(0x0), 0x0ULL);
+  EXPECT_EQ(msrs.hw_load(0x1a0), 0x11a0ULL);
+  EXPECT_EQ(msrs.hw_load(0x1b1), 0xfeedULL);
+  EXPECT_EQ(msrs.hw_load(0x619), 0x1619ULL);
+  EXPECT_EQ(msrs.hw_load(0xffffffff), 0x1000ULL + 0xffffffffULL);
+  for (const std::uint32_t address : off_list) {
+    EXPECT_FALSE(msrs.is_readable(address));
+    EXPECT_FALSE(msrs.is_writable(address));
+    EXPECT_THROW(static_cast<void>(msrs.read(address)), NotFound);
+  }
+  // The backdoor stores left every allowlisted register unwritten.
+  EXPECT_EQ(msrs.read(msr::kRaplPowerUnit), 0u);
+  EXPECT_EQ(msrs.read(msr::kPkgPowerLimit), 0u);
+  EXPECT_EQ(msrs.read(msr::kPkgEnergyStatus), 0u);
+  EXPECT_EQ(msrs.read(msr::kPkgPowerInfo), 0u);
+}
+
+TEST(MsrFileTest, MaskedWriteMergesOverBackdoorStore) {
+  MsrFile msrs;
+  // PKG_POWER_LIMIT's top byte is reserved (write mask 0x00ff...ff).
+  msrs.hw_store(msr::kPkgPowerLimit, 0xab00000000001234ULL);
+  msrs.write(msr::kPkgPowerLimit, 0xcd00000000005678ULL);
+  EXPECT_EQ(msrs.read(msr::kPkgPowerLimit), 0xab00000000005678ULL);
+  EXPECT_EQ(msrs.hw_load(msr::kPkgPowerLimit), 0xab00000000005678ULL);
+  // A backdoor store does not make a read-only register writable.
+  msrs.hw_store(msr::kPkgEnergyStatus, 0x42ULL);
+  EXPECT_THROW(msrs.write(msr::kPkgEnergyStatus, 0x0ULL), NotFound);
+  EXPECT_EQ(msrs.read(msr::kPkgEnergyStatus), 0x42ULL);
+  // Nor an off-list one software-writable.
+  msrs.hw_store(0x1a0, 0x7ULL);
+  EXPECT_THROW(msrs.write(0x1a0, 0x0ULL), NotFound);
+  EXPECT_EQ(msrs.hw_load(0x1a0), 0x7ULL);
+}
+
+TEST(MsrFileTest, UnwrittenRegistersReadZeroOnAndOffTheList) {
+  MsrFile msrs({{0x100, 0xffULL}, {0x101, 0x0ULL}});
+  EXPECT_EQ(msrs.read(0x100), 0u);
+  EXPECT_EQ(msrs.read(0x101), 0u);
+  EXPECT_EQ(msrs.hw_load(0x102), 0u);
+  msrs.hw_store(0x103, 0x9ULL);
+  EXPECT_EQ(msrs.hw_load(0x102), 0u);  // a neighbour's store leaves it be
+  EXPECT_EQ(msrs.hw_load(0x103), 0x9ULL);
+}
+
+TEST(MsrFileTest, CopiesAreIndependentValues) {
+  MsrFile original;
+  original.write(msr::kPkgPowerLimit, 0x1111ULL);
+  original.hw_store(0x1a0, 0xaULL);
+  MsrFile copy = original;
+  copy.write(msr::kPkgPowerLimit, 0x2222ULL);
+  copy.hw_store(0x1a0, 0xbULL);
+  copy.hw_store(0x1a1, 0xcULL);
+  EXPECT_EQ(original.read(msr::kPkgPowerLimit), 0x1111ULL);
+  EXPECT_EQ(original.hw_load(0x1a0), 0xaULL);
+  EXPECT_EQ(original.hw_load(0x1a1), 0u);
+  EXPECT_EQ(copy.read(msr::kPkgPowerLimit), 0x2222ULL);
+  EXPECT_EQ(copy.hw_load(0x1a0), 0xbULL);
+  EXPECT_EQ(copy.hw_load(0x1a1), 0xcULL);
+}
+
 }  // namespace
 }  // namespace ps::hw

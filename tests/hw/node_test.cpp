@@ -274,6 +274,87 @@ TEST(NodeSolveCacheTest, PollMemoScalesEnergyPerCall) {
   EXPECT_EQ(cached.read_energy_joules(), ledger.read_energy_joules());
 }
 
+/// Everything a NodeModel copy shares with its source, observed through
+/// the registers and the solve memo.
+struct NodeRegisterState {
+  double limits[2] = {0.0, 0.0};
+  std::uint32_t counters[2] = {0, 0};
+  std::uint64_t raw_limits[2] = {0, 0};
+};
+
+NodeRegisterState register_state(NodeModel& node) {
+  NodeRegisterState state;
+  for (std::size_t s = 0; s < 2; ++s) {
+    state.limits[s] = node.package(s).power_limit();
+    state.counters[s] = node.package(s).read_energy_counter();
+    state.raw_limits[s] =
+        node.package(s).msr_file().read(msr::kPkgPowerLimit);
+  }
+  return state;
+}
+
+TEST(NodeRegisterTest, CopiedNodeIsIndependentOfItsSource) {
+  NodeModel original = make_node(1.1);
+  original.set_power_cap(200.0);
+  static_cast<void>(original.run_compute(1.0, 8.0, VectorWidth::kYmm256));
+  static_cast<void>(original.run_poll(0.5));
+  const PhaseResult& memo =
+      original.compute_solution(1.0, 8.0, VectorWidth::kYmm256);
+  const PhaseResult memo_before = memo;
+  const NodeRegisterState before = register_state(original);
+
+  NodeModel copy = original;
+  copy.set_power_cap(150.0);
+  copy.package(1).set_power_limit(70.0);
+  for (int i = 0; i < 5; ++i) {
+    static_cast<void>(copy.run_compute(2.0, 1.0, VectorWidth::kXmm128));
+    static_cast<void>(copy.run_poll(1.0));
+  }
+  static_cast<void>(copy.read_energy_joules());
+
+  const NodeRegisterState after = register_state(original);
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(after.limits[s], before.limits[s]) << "socket " << s;
+    EXPECT_EQ(after.counters[s], before.counters[s]) << "socket " << s;
+    EXPECT_EQ(after.raw_limits[s], before.raw_limits[s]) << "socket " << s;
+  }
+  // The source's memo slot was not rewritten by the copy's solves.
+  expect_same_phase(memo, memo_before);
+  EXPECT_NE(register_state(copy).counters[0], before.counters[0]);
+  EXPECT_NE(copy.power_cap(), original.power_cap());
+}
+
+TEST(NodeRegisterTest, PackageLimitsStayQuantizedToEighthWatts) {
+  NodeModel node = make_node();
+  const double dram = node.params().dram_watts;
+  // 2 x 90.07 W of package budget: each limit rounds to 90.125 W.
+  const double applied = node.set_power_cap(dram + 2.0 * 90.07);
+  EXPECT_EQ(node.package(0).power_limit(), 90.125);
+  EXPECT_EQ(node.package(1).power_limit(), 90.125);
+  EXPECT_EQ(applied, dram + 2.0 * 90.125);
+  EXPECT_EQ(node.power_cap(), applied);
+  // 721 power units, enable (bit 15) and clamp (bit 16) set.
+  EXPECT_EQ(node.package(0).msr_file().read(msr::kPkgPowerLimit),
+            721ULL | (1ULL << 15) | (1ULL << 16));
+  // Units register: 2^-3 W, 2^-14 J, 2^-10 s.
+  EXPECT_EQ(node.package(0).msr_file().read(msr::kRaplPowerUnit),
+            0xa0e03ULL);
+}
+
+TEST(NodeRegisterTest, RawEnergyCounterWrapsAt32Bits) {
+  NodeModel node = make_node();
+  RaplPackageDomain& package = node.package(0);
+  const double unit = package.energy_unit_joules();
+  package.accumulate_energy(4294967280.0 * unit);  // 2^32 - 16 units
+  EXPECT_EQ(package.read_energy_counter(), 4294967280u);
+  EXPECT_EQ(package.read_energy_joules(), 4294967280.0 * unit);
+  package.accumulate_energy(32.0 * unit);  // wraps to 16
+  EXPECT_EQ(package.read_energy_counter(), 16u);
+  EXPECT_EQ(package.read_energy_joules(), 4294967312.0 * unit);
+  // The other package's counter never moved.
+  EXPECT_EQ(node.package(1).read_energy_counter(), 0u);
+}
+
 TEST(NodeTest, FixedPointSolutionIsSelfConsistent) {
   NodeModel node = make_node();
   const PhaseResult result =
