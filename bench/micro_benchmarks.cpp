@@ -20,6 +20,7 @@
 #include "core/degradation.hpp"
 #include "core/endpoint.hpp"
 #include "core/policies.hpp"
+#include "hw/variation.hpp"
 #include "kernel/arithmetic_kernel.hpp"
 #include "net/client.hpp"
 #include "net/daemon.hpp"
@@ -101,42 +102,76 @@ void BM_NodeFixedPointSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeFixedPointSolve);
 
-void BM_BalancePowerSearch(benchmark::State& state) {
-  sim::Cluster cluster(static_cast<std::size_t>(state.range(0)));
+/// The first `count` nodes of `cluster` as a job's hosts.
+std::vector<hw::NodeModel*> first_hosts(sim::Cluster& cluster,
+                                        std::size_t count) {
+  std::vector<hw::NodeModel*> hosts;
+  for (std::size_t i = 0; i < count; ++i) {
+    hosts.push_back(&cluster.node(i));
+  }
+  return hosts;
+}
+
+/// A Quartz-calibrated varied cluster (hw::VariationModel::quartz_default):
+/// no two nodes share an eta, so no host has a solver twin.
+sim::Cluster varied_cluster() {
+  util::Rng rng(2018);
+  return sim::Cluster(hw::VariationModel::quartz_default(), rng);
+}
+
+void run_balance_power(benchmark::State& state, sim::Cluster& cluster) {
+  const auto count = static_cast<std::size_t>(state.range(0));
   kernel::WorkloadConfig config;
   config.intensity = 16.0;
   config.waiting_fraction = 0.5;
   config.imbalance = 3.0;
-  std::vector<hw::NodeModel*> hosts;
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    hosts.push_back(&cluster.node(i));
-  }
-  sim::JobSimulation job("bench", hosts, config);
-  const double budget = 200.0 * static_cast<double>(cluster.size());
+  sim::JobSimulation job("bench", first_hosts(cluster, count), config);
+  const double budget = 200.0 * static_cast<double>(count);
   for (auto _ : state) {
     benchmark::DoNotOptimize(runtime::balance_power(job, budget));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
+
+/// Homogeneous hosts: two runs of solver twins (waiting, imbalanced).
+void BM_BalancePowerSearch(benchmark::State& state) {
+  sim::Cluster cluster(static_cast<std::size_t>(state.range(0)));
+  run_balance_power(state, cluster);
+}
 BENCHMARK(BM_BalancePowerSearch)->Arg(10)->Arg(100);
 
-void BM_SimulatorIteration(benchmark::State& state) {
-  sim::Cluster cluster(static_cast<std::size_t>(state.range(0)));
+/// Varied hosts: every host runs its own min-cap search.
+void BM_BalancePowerSearchVaried(benchmark::State& state) {
+  sim::Cluster cluster = varied_cluster();
+  run_balance_power(state, cluster);
+}
+BENCHMARK(BM_BalancePowerSearchVaried)->Arg(10)->Arg(100);
+
+void run_simulator_iteration(benchmark::State& state, sim::Cluster& cluster) {
+  const auto count = static_cast<std::size_t>(state.range(0));
   kernel::WorkloadConfig config;
   config.intensity = 8.0;
   config.waiting_fraction = 0.25;
   config.imbalance = 2.0;
-  std::vector<hw::NodeModel*> hosts;
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    hosts.push_back(&cluster.node(i));
-  }
-  sim::JobSimulation job("bench", hosts, config);
+  sim::JobSimulation job("bench", first_hosts(cluster, count), config);
   for (auto _ : state) {
     benchmark::DoNotOptimize(job.run_iteration());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
+
+void BM_SimulatorIteration(benchmark::State& state) {
+  sim::Cluster cluster(static_cast<std::size_t>(state.range(0)));
+  run_simulator_iteration(state, cluster);
+}
 BENCHMARK(BM_SimulatorIteration)->Arg(100)->Arg(900);
+
+/// Varied hosts: no host can borrow a neighbour's solve.
+void BM_SimulatorIterationVaried(benchmark::State& state) {
+  sim::Cluster cluster = varied_cluster();
+  run_simulator_iteration(state, cluster);
+}
+BENCHMARK(BM_SimulatorIterationVaried)->Arg(100)->Arg(900);
 
 void BM_TreeAggregate(benchmark::State& state) {
   const runtime::TreeTopology tree = runtime::TreeTopology::balanced(

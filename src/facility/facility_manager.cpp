@@ -6,7 +6,6 @@
 #include <limits>
 #include <numbers>
 
-#include "core/control_round.hpp"
 #include "core/invariants.hpp"
 #include "core/mixes.hpp"
 #include "rm/power_manager.hpp"
@@ -235,6 +234,8 @@ FacilityManager::FacilityManager(sim::Cluster& cluster,
     options_.system_budget_watts =
         cluster.node(0).tdp() * static_cast<double>(cluster.size());
   }
+  context_.node_tdp_watts = cluster.node(0).tdp();
+  context_.uncappable_watts = cluster.node(0).params().dram_watts;
   if (!options_.budget_signal_watts.empty()) {
     for (const double signal : options_.budget_signal_watts) {
       PS_REQUIRE(signal > 0.0, "budget signal must be positive");
@@ -333,6 +334,7 @@ void FacilityManager::start_pending_jobs(
     job.characterization.sla_class = trace[index].request.sla_class;
     job.simulation->reset_totals();
     running_.push_back(std::move(job));
+    round_inputs_stale_ = true;
     if (!result.jobs[index].started()) {
       result.jobs[index].start_hours = now_hours;
     }
@@ -342,59 +344,62 @@ void FacilityManager::start_pending_jobs(
   }
 }
 
-void FacilityManager::reallocate_power() {
-  if (running_.empty()) {
-    return;
-  }
-  core::PolicyContext context;
-  context.system_budget_watts = power_manager_.budget_watts();
-  context.node_tdp_watts = cluster_->node(0).tdp();
-  context.uncappable_watts = cluster_->node(0).params().dram_watts;
-  std::vector<sim::JobSimulation*> jobs;
-  std::vector<core::JobLimits> limits;
+void FacilityManager::rebuild_round_inputs() {
+  context_.jobs.clear();
+  round_jobs_.clear();
+  round_limits_.clear();
   for (const auto& job : running_) {
     // Each job's envelope, from its characterization.
     const runtime::JobCharacterization& data = job.characterization;
-    context.jobs.push_back(data);
-    jobs.push_back(job.simulation.get());
-    limits.push_back({.hosts = data.host_count,
-                      .floor_watts = data.min_settable_cap_watts,
-                      .tdp_watts = context.job_tdp_watts(limits.size()),
-                      .gpu_domain = data.has_gpu_domain(),
-                      .gpu_floor_watts = data.gpu_min_cap_watts,
-                      .gpu_tdp_watts = data.gpu_tdp_watts,
-                      .sla_class = data.sla_class});
+    context_.jobs.push_back(data);
+    round_jobs_.push_back(job.simulation.get());
+    round_limits_.push_back(
+        {.hosts = data.host_count,
+         .floor_watts = data.min_settable_cap_watts,
+         .tdp_watts = context_.job_tdp_watts(round_limits_.size()),
+         .gpu_domain = data.has_gpu_domain(),
+         .gpu_floor_watts = data.gpu_min_cap_watts,
+         .gpu_tdp_watts = data.gpu_tdp_watts,
+         .sla_class = data.sla_class});
   }
+  round_inputs_stale_ = false;
+}
+
+void FacilityManager::reallocate_power() {
+  if (running_.empty()) {
+    programmed_watts_ = 0.0;
+    return;
+  }
+  if (round_inputs_stale_) {
+    rebuild_round_inputs();
+  }
+  context_.system_budget_watts = power_manager_.budget_watts();
   // The budget binds only under a governor: its output may have been
   // computed moments before a brownout revision. No caps in force are
   // handed in, so an over-budget output is clamped, never kept.
   const core::RoundOutcome round =
-      core::ControlRound{.jobs = limits,
+      core::ControlRound{.jobs = round_limits_,
                          .budget_watts = power_manager_.budget_watts(),
                          .policy = policy_.get(),
-                         .context = &context,
+                         .context = &context_,
                          .budget_binds = governor_.has_value()}
           .run();
   if (round.verdict == core::RoundVerdict::kClamp) {
     ++emergency_clamps_;
   }
-  power_manager_.apply(jobs, round.caps, /*enforce_budget=*/false);
+  power_manager_.apply(round_jobs_, round.caps, /*enforce_budget=*/false);
+  programmed_watts_ = 0.0;
+  for (const sim::JobSimulation* job : round_jobs_) {
+    for (std::size_t h = 0; h < job->host_count(); ++h) {
+      programmed_watts_ += job->host_cap(h);
+    }
+  }
   if (round.shed_watts > 0.0 && options_.obs.metrics != nullptr) {
     options_.obs.metrics->histogram("facility.shed_watts", kShedBounds)
         .observe(round.shed_watts);
   }
   shed_watts_total_ += round.shed_watts;
   refresh_profiles();
-}
-
-double FacilityManager::programmed_watts() const {
-  double total = 0.0;
-  for (const auto& job : running_) {
-    for (std::size_t h = 0; h < job.simulation->host_count(); ++h) {
-      total += job.simulation->host_cap(h);
-    }
-  }
-  return total;
 }
 
 void FacilityManager::observe_budget_signal(std::size_t step,
@@ -420,11 +425,30 @@ void FacilityManager::observe_budget_signal(std::size_t step,
 }
 
 void FacilityManager::refresh_profiles() {
+  std::vector<double> caps;
   for (auto& job : running_) {
-    // One probe iteration under the current caps yields the steady-state
-    // per-iteration time and power (the simulation is deterministic).
-    const sim::IterationResult probe = job.simulation->run_iteration();
+    // Every reallocation credits the job one iteration of progress.
     job.iterations_done += 1.0;
+    // One probe iteration under the current caps yields the steady-state
+    // per-iteration time and power. The simulation is deterministic and
+    // its caps are programmed only through set_host_cap (a node cap fixes
+    // the package limits), so a job whose caps equal its last probe's
+    // would measure the same profile again: it keeps the one it has.
+    const sim::JobSimulation& simulation = *job.simulation;
+    caps.clear();
+    for (std::size_t h = 0; h < simulation.host_count(); ++h) {
+      caps.push_back(simulation.host_cap(h));
+    }
+    if (simulation.has_gpu_domain()) {
+      for (std::size_t h = 0; h < simulation.host_count(); ++h) {
+        caps.push_back(simulation.host_gpu_cap(h));
+      }
+    }
+    if (caps == job.probed_caps) {
+      continue;
+    }
+    job.probed_caps.swap(caps);
+    const sim::IterationResult probe = job.simulation->run_iteration();
     job.iteration_seconds = probe.iteration_seconds;
     job.power_watts =
         probe.average_node_power_watts *
@@ -482,6 +506,7 @@ bool FacilityManager::process_failures(
     repairs_.emplace_back(now_hours + options_.repair_hours, failed);
     scheduler_.submit(request);
     it = running_.erase(it);
+    round_inputs_stale_ = true;
     changed = true;
   }
   return changed;
@@ -569,6 +594,7 @@ FacilityResult FacilityManager::run(
                                   static_cast<double>(job.iterations_total);
                          }),
           running_.end());
+      round_inputs_stale_ = true;
       start_pending_jobs(trace, now, result);
       reallocate_power();
       // Recompute the sample with the new job set's power.
@@ -592,7 +618,7 @@ FacilityResult FacilityManager::run(
     // kMeasuredDraw basis reserves with this EWMA instead of TDP.
     scheduler_.observe_draw(compute_power, busy_nodes);
     if (governor_.has_value()) {
-      power_manager_.observe_programmed(programmed_watts(), busy_nodes,
+      power_manager_.observe_programmed(programmed_watts_, busy_nodes,
                                         dt_seconds);
     }
   }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/budget_governor.hpp"
+#include "core/control_round.hpp"
 #include "core/policy.hpp"
 #include "obs/obs.hpp"
 #include "rm/job.hpp"
@@ -216,9 +217,12 @@ class FacilityManager {
     double last_checkpoint_hours = 0.0;
     std::size_t iterations_total = 0;
     // Steady-state profile under the current caps (refreshed after every
-    // re-allocation).
+    // re-allocation whose caps differ from the last probe's).
     double iteration_seconds = 0.0;
     double power_watts = 0.0;
+    /// Caps in force at the last probe: each host's node cap, then each
+    /// host's GPU cap on a GPU-domain job. Empty before the first probe.
+    std::vector<double> probed_caps;
   };
 
   /// Earliest time the head-of-queue job could start, from the running
@@ -230,13 +234,15 @@ class FacilityManager {
                           double now_hours, FacilityResult& result);
   void reallocate_power();
   void refresh_profiles();
+  /// Rebuilds the policy context's per-job entries, the job limits and
+  /// the simulations to program from running_ (after a start, a finish
+  /// or a failure changed the job set).
+  void rebuild_round_inputs();
 
   /// Observes the budget signal for `step` and adopts the governor's
   /// revision, if any (reallocating the running jobs under the new
   /// budget). No-op without a budget signal.
   void observe_budget_signal(std::size_t step, FacilityResult& result);
-  /// Sum of the caps currently programmed on the running jobs' hosts.
-  [[nodiscard]] double programmed_watts() const;
 
   /// Rolls for node failures, kills and resubmits affected jobs, and
   /// releases nodes whose repairs completed. Returns true if the running
@@ -257,6 +263,16 @@ class FacilityManager {
   std::unique_ptr<core::Policy> policy_;
   std::size_t emergency_clamps_ = 0;
   std::vector<RunningJob> running_;
+  /// The control round's inputs for the current job set, rebuilt only
+  /// when running_ changes (round_inputs_stale_); each round sets just
+  /// the budget.
+  core::PolicyContext context_;
+  std::vector<sim::JobSimulation*> round_jobs_;
+  std::vector<core::JobLimits> round_limits_;
+  bool round_inputs_stale_ = true;
+  /// Sum of the caps programmed on the running jobs' hosts, taken when
+  /// the last reallocation programmed them (caps change nowhere else).
+  double programmed_watts_ = 0.0;
   util::Rng failure_rng_{0xfa11};
   std::vector<std::pair<double, std::size_t>> repairs_;
   /// Checkpointed progress (iterations) by trace index, surviving the

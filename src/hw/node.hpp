@@ -32,6 +32,8 @@ struct NodeParams {
   /// Node-level caps and reported node power include it.
   double dram_watts = QuartzSpec::kDramPowerPerNodeW;
   CapSplitPolicy cap_split = CapSplitPolicy::kEven;
+
+  bool operator==(const NodeParams&) const = default;
 };
 
 /// Outcome of running (or previewing) one phase on a node.
@@ -92,8 +94,25 @@ class NodeModel {
   /// live register state, so limits written behind the node's back
   /// (PlatformIO pokes packages directly) still invalidate correctly.
   /// The returned reference stays valid until the next solve.
+  ///
+  /// On a memo miss, a `twin` may supply the answer instead of the
+  /// solver: its cached solution is copied when its memo key equals this
+  /// node's live key (same phase, same package limits, same frequency
+  /// cap) and same_solver(*twin) holds. The solver is a pure function of
+  /// those inputs, so the copy is the solution this node would compute,
+  /// bit for bit. Nodes of a homogeneous job thus solve once per distinct
+  /// host rather than once per host.
   const PhaseResult& compute_solution(double gigabytes, double intensity,
-                                      VectorWidth width);
+                                      VectorWidth width,
+                                      const NodeModel* twin = nullptr);
+
+  /// Solver identity: true when `other` computes every compute, poll and
+  /// preview solution exactly as this node does for the same inputs,
+  /// i.e. NodeParams, both package etas and the frequency cap are equal
+  /// (exact double comparison). The package limits, the RAPL counters
+  /// and the GPUs are not part of it: the limits are solver inputs that
+  /// each memo key carries, and the rest never reaches the solver.
+  [[nodiscard]] bool same_solver(const NodeModel& other) const noexcept;
 
   /// Accrues a phase previously obtained from compute_solution() into the
   /// RAPL/DRAM energy counters (run_compute == compute_solution + this).

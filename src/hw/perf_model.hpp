@@ -24,6 +24,8 @@ struct RooflineParams {
   /// frequency (uncore clocks are mostly independent of core DVFS, so
   /// memory-bound codes lose little performance when cores slow down).
   double bandwidth_frequency_floor = 0.70;
+
+  bool operator==(const RooflineParams&) const = default;
 };
 
 /// Time and pipeline utilization of one compute phase.
@@ -93,6 +95,8 @@ struct ActivityModel {
   [[nodiscard]] double compute_activity(double cpu_utilization,
                                         double mem_utilization,
                                         VectorWidth width) const;
+
+  bool operator==(const ActivityModel&) const = default;
 };
 
 }  // namespace ps::hw

@@ -22,6 +22,8 @@ struct SocketPowerParams {
   double min_frequency_ghz = 1.2;
   double max_frequency_ghz = 2.6;
   double exponent = 3.0;
+
+  bool operator==(const SocketPowerParams&) const = default;
 };
 
 /// Analytic socket power model with an exact cap-to-frequency inversion.

@@ -59,16 +59,19 @@ double uncapped_iteration_seconds(const sim::JobSimulation& job) {
   return critical;
 }
 
-double min_cap_for_time(const sim::JobSimulation& job, std::size_t host,
-                        double target_seconds,
-                        const BalancerOptions& options) {
-  PS_REQUIRE(target_seconds > 0.0, "target time must be positive");
+namespace {
+
+/// min_cap_for_time with the host's busy times at its TDP and at its
+/// floor already known (they are the same for every target).
+double min_cap_search(const sim::JobSimulation& job, std::size_t host,
+                      double target_seconds, double busy_at_tdp,
+                      double busy_at_floor, const BalancerOptions& options) {
   const double floor_cap = job.host(host).min_cap();
   const double ceil_cap = job.host(host).tdp();
-  if (host_busy_seconds(job, host, ceil_cap) > target_seconds) {
+  if (busy_at_tdp > target_seconds) {
     return ceil_cap;  // Even full power cannot meet the target.
   }
-  if (host_busy_seconds(job, host, floor_cap) <= target_seconds) {
+  if (busy_at_floor <= target_seconds) {
     return floor_cap;
   }
   double lo = floor_cap;   // busy(lo) > target
@@ -84,41 +87,77 @@ double min_cap_for_time(const sim::JobSimulation& job, std::size_t host,
   return hi;
 }
 
+}  // namespace
+
+double min_cap_for_time(const sim::JobSimulation& job, std::size_t host,
+                        double target_seconds,
+                        const BalancerOptions& options) {
+  PS_REQUIRE(target_seconds > 0.0, "target time must be positive");
+  return min_cap_search(
+      job, host, target_seconds,
+      host_busy_seconds(job, host, job.host(host).tdp()),
+      host_busy_seconds(job, host, job.host(host).min_cap()), options);
+}
+
 std::vector<double> balance_power(const sim::JobSimulation& job,
                                   double job_budget_watts,
                                   const BalancerOptions& options) {
   PS_REQUIRE(job_budget_watts > 0.0, "job budget must be positive");
   const std::size_t hosts = job.host_count();
 
+  // Hosts are searched once per run of twins: adjacent hosts that move
+  // the same data per iteration on nodes with the same solver
+  // (NodeModel::same_solver) get bit-identical previews, so the run's
+  // first host (its leader) answers for the rest. Each host's busy
+  // times at TDP and at its floor, the ends of every min-cap search, are
+  // computed once here rather than once per search.
+  std::vector<std::size_t> leader(hosts);
+  std::vector<double> busy_at_tdp(hosts);
+  std::vector<double> busy_at_floor(hosts);
   // Fastest conceivable iteration: every host uncapped (at TDP); slowest
   // useful target: every host at its settable floor.
   double best_time = 0.0;
   double worst_time = 0.0;
   double floor_power = 0.0;
   for (std::size_t i = 0; i < hosts; ++i) {
-    best_time = std::max(best_time,
-                         host_busy_seconds(job, i, job.host(i).tdp()));
-    worst_time = std::max(worst_time,
-                          host_busy_seconds(job, i, job.host(i).min_cap()));
+    const bool twin = i > 0 &&
+                      job.host_gigabytes(i) == job.host_gigabytes(i - 1) &&
+                      job.host(i).same_solver(job.host(i - 1));
+    leader[i] = twin ? leader[i - 1] : i;
+    if (twin) {
+      busy_at_tdp[i] = busy_at_tdp[i - 1];
+      busy_at_floor[i] = busy_at_floor[i - 1];
+    } else {
+      busy_at_tdp[i] = host_busy_seconds(job, i, job.host(i).tdp());
+      busy_at_floor[i] = host_busy_seconds(job, i, job.host(i).min_cap());
+    }
+    best_time = std::max(best_time, busy_at_tdp[i]);
+    worst_time = std::max(worst_time, busy_at_floor[i]);
     floor_power += job.host(i).min_cap();
   }
 
   std::vector<double> caps(hosts);
   const auto caps_for_time = [&](double target) {
+    PS_REQUIRE(target > 0.0, "target time must be positive");
     double total = 0.0;
     for (std::size_t i = 0; i < hosts; ++i) {
-      caps[i] = min_cap_for_time(job, i, target, options);
+      caps[i] = leader[i] == i
+                    ? min_cap_search(job, i, target, busy_at_tdp[i],
+                                     busy_at_floor[i], options)
+                    : caps[leader[i]];
       total += caps[i];
     }
     return total;
   };
-
-  if (job_budget_watts <= floor_power) {
-    // The budget cannot be honored; everything runs at the floor.
-    caps_for_time(worst_time);
+  const auto set_floor_caps = [&] {
     for (std::size_t i = 0; i < hosts; ++i) {
       caps[i] = job.host(i).min_cap();
     }
+  };
+
+  if (job_budget_watts <= floor_power) {
+    // The budget cannot be honored; everything runs at the floor.
+    set_floor_caps();
     return caps;
   }
 
@@ -133,9 +172,7 @@ std::vector<double> balance_power(const sim::JobSimulation& job,
   double hi = worst_time * (1.0 + options.performance_epsilon);
   if (caps_for_time(hi) > job_budget_watts) {
     // Budget is between the floor and the floor-speed demand; run at floor.
-    for (std::size_t i = 0; i < hosts; ++i) {
-      caps[i] = job.host(i).min_cap();
-    }
+    set_floor_caps();
     return caps;
   }
   // Invariant: caps_for_time(hi) fits the budget; lo may not.

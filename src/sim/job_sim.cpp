@@ -195,7 +195,10 @@ IterationResult JobSimulation::run_iteration() {
 
   // Pass 1 — solve: one memoized lookup per host fills the columns; the
   // fixed-point solver only re-runs for hosts whose limits changed since
-  // the previous iteration.
+  // the previous iteration, and a host whose solve matches the previous
+  // live host's (an identical node under the same limits and phase)
+  // copies that host's solution instead of solving again.
+  const hw::NodeModel* twin = nullptr;
   for (std::size_t i = 0; i < count; ++i) {
     auto& host_result = result.hosts[i];
     host_result.node = hosts_[i]->id();
@@ -204,7 +207,8 @@ IterationResult JobSimulation::run_iteration() {
       continue;  // a dead host: no work, no energy
     }
     const hw::PhaseResult& phase = hosts_[i]->compute_solution(
-        host_gigabytes(i), config_.intensity, config_.vector_width);
+        host_gigabytes(i), config_.intensity, config_.vector_width, twin);
+    twin = hosts_[i];
     hosts_[i]->accrue_phase(phase);
     soa_seconds_[i] = phase.seconds;
     soa_power_[i] = phase.power_watts;

@@ -42,6 +42,17 @@ using std::chrono::steady_clock;
 
 constexpr std::size_t kRacks = 8;
 
+/// The root's heartbeat timeout. ThreadSanitizer slows every daemon loop
+/// by an order of magnitude, enough for 200 ms to evict live racks'
+/// jobs mid-round, so instrumented builds wait ten times longer. The
+/// mass-disconnect phase waits up to 30 s for the heartbeat scan either
+/// way.
+#if defined(__SANITIZE_THREAD__)
+constexpr milliseconds kHeartbeatTimeout{2'000};
+#else
+constexpr milliseconds kHeartbeatTimeout{200};
+#endif
+
 std::size_t soak_clients() {
   if (const char* env = std::getenv("PS_HIER_SOAK_CLIENTS")) {
     const std::size_t requested = std::strtoull(env, nullptr, 10);
@@ -158,7 +169,7 @@ TEST(HierarchySoakTest, TreeSurvivesScaleAndMassDisconnectWithoutLeaking) {
   root_options.min_jobs = total_clients;
   root_options.tick_interval = milliseconds(10);
   root_options.reclaim_timeout = milliseconds(60'000);
-  root_options.heartbeat_timeout = milliseconds(200);
+  root_options.heartbeat_timeout = kHeartbeatTimeout;
   root_options.root_mode = true;
   root_options.obs.metrics = &root_metrics;
   PowerDaemon root(root_options);
