@@ -28,7 +28,7 @@
 #include "net/snapshot.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rm/power_manager.hpp"
+#include "rm/allocation.hpp"
 #include "runtime/agent_tree.hpp"
 #include "runtime/power_balancer_agent.hpp"
 #include "sim/cluster.hpp"
@@ -497,26 +497,38 @@ void BM_BudgetGovernorObserve(benchmark::State& state) {
 BENCHMARK(BM_BudgetGovernorObserve)->Arg(256);
 
 /// The emergency clamp's allocation math (shape-preserving, floor-first
-/// proportional scaling) at brownout time. Arg = total host count.
+/// proportional scaling) at brownout time, over 4 jobs. Args: total host
+/// count; 0 when the jobs share one class (one scale), 1 when they span
+/// all three (best_effort lands on its floors, the reduction runs out
+/// inside the standard class).
 void BM_ClampAllocationToBudget(benchmark::State& state) {
   const auto hosts = static_cast<std::size_t>(state.range(0));
+  const bool mixed = state.range(1) != 0;
   const std::size_t jobs = 4;
   rm::PowerAllocation allocation;
-  std::vector<std::vector<double>> floors;
+  std::vector<core::JobLimits> limits;
   for (std::size_t j = 0; j < jobs; ++j) {
     allocation.job_host_caps.emplace_back(hosts / jobs,
                                           200.0 + 5.0 * (j % 3));
-    floors.emplace_back(hosts / jobs, 152.0);
+    limits.push_back({.hosts = hosts / jobs,
+                      .floor_watts = 152.0,
+                      .tdp_watts = 256.0,
+                      .sla_class = mixed ? static_cast<sim::SlaClass>(j % 3)
+                                         : sim::SlaClass::kStandard});
   }
-  const double budget = 0.7 * allocation.total_watts();  // a 30% brownout
+  const double budget = 0.85 * allocation.total_watts();  // a brownout
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        rm::clamp_allocation_to_budget(allocation, floors, budget));
+        core::clamp_to_budget(allocation, limits, budget));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(hosts));
 }
-BENCHMARK(BM_ClampAllocationToBudget)->Arg(16)->Arg(256);
+BENCHMARK(BM_ClampAllocationToBudget)
+    ->Args({16, 0})
+    ->Args({256, 0})
+    ->Args({16, 1})
+    ->Args({256, 1});
 
 /// Observability overhead on the coordination loop's epoch path: the
 /// same mix run uninstrumented (Arg 0) and with a metrics registry plus

@@ -5,7 +5,6 @@
 
 #include "core/degradation.hpp"
 #include "core/invariants.hpp"
-#include "rm/power_manager.hpp"
 #include "util/error.hpp"
 
 namespace ps::core {
@@ -106,20 +105,7 @@ RoundOutcome ControlRound::run() const {
       // The emergency clamp: scale onto the budget, each domain toward
       // its own floor, lowest SLA class first.
       outcome.verdict = RoundVerdict::kClamp;
-      std::vector<sim::SlaClass> classes;
-      Caps floors;
-      Caps gpu_floors;
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        classes.push_back(jobs[j].sla_class);
-        floors.emplace_back(candidate.job_host_caps[j].size(),
-                            jobs[j].floor_watts);
-        if (j < candidate.job_host_gpu_caps.size()) {
-          gpu_floors.emplace_back(candidate.job_host_gpu_caps[j].size(),
-                                  jobs[j].gpu_floor_watts);
-        }
-      }
-      caps = rm::clamp_allocation_to_budget(candidate, floors, budget_watts,
-                                            gpu_floors, classes);
+      caps = clamp_to_budget(candidate, jobs, budget_watts);
       outcome.total_watts = caps.total_watts();
       outcome.shed_watts += watts_moved(candidate, caps);
     } else if (context != nullptr) {

@@ -1,171 +1,10 @@
 #include "rm/power_manager.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 
 #include "util/error.hpp"
 
 namespace ps::rm {
-
-PowerAllocation clamp_allocation_to_budget(
-    const PowerAllocation& allocation,
-    const std::vector<std::vector<double>>& host_floors,
-    double budget_watts,
-    const std::vector<std::vector<double>>& gpu_floors) {
-  PS_REQUIRE(budget_watts > 0.0, "clamp budget must be positive");
-  PS_REQUIRE(host_floors.size() == allocation.job_host_caps.size(),
-             "floor shape has a different number of jobs");
-  PS_REQUIRE(gpu_floors.size() == allocation.job_host_gpu_caps.size(),
-             "GPU floor shape has a different number of jobs");
-  double total_caps = 0.0;
-  double total_floors = 0.0;
-  for (std::size_t j = 0; j < allocation.job_host_caps.size(); ++j) {
-    PS_REQUIRE(host_floors[j].size() == allocation.job_host_caps[j].size(),
-               "floor shape has a different number of hosts for a job");
-    for (std::size_t h = 0; h < allocation.job_host_caps[j].size(); ++h) {
-      PS_REQUIRE(host_floors[j][h] >= 0.0, "host floor cannot be negative");
-      total_caps += allocation.job_host_caps[j][h];
-      total_floors += host_floors[j][h];
-    }
-  }
-  for (std::size_t j = 0; j < allocation.job_host_gpu_caps.size(); ++j) {
-    PS_REQUIRE(gpu_floors[j].size() == allocation.job_host_gpu_caps[j].size(),
-               "GPU floor shape has a different number of hosts for a job");
-    for (std::size_t h = 0; h < allocation.job_host_gpu_caps[j].size(); ++h) {
-      PS_REQUIRE(gpu_floors[j][h] >= 0.0, "GPU floor cannot be negative");
-      total_caps += allocation.job_host_gpu_caps[j][h];
-      total_floors += gpu_floors[j][h];
-    }
-  }
-  double scale = 1.0;
-  if (total_caps > budget_watts) {
-    scale = total_caps > total_floors
-                ? (budget_watts - total_floors) / (total_caps - total_floors)
-                : 0.0;
-    scale = std::clamp(scale, 0.0, 1.0);
-  }
-  PowerAllocation clamped;
-  clamped.job_host_caps.resize(allocation.job_host_caps.size());
-  for (std::size_t j = 0; j < allocation.job_host_caps.size(); ++j) {
-    clamped.job_host_caps[j].reserve(allocation.job_host_caps[j].size());
-    for (std::size_t h = 0; h < allocation.job_host_caps[j].size(); ++h) {
-      const double floor = host_floors[j][h];
-      const double cap = allocation.job_host_caps[j][h];
-      clamped.job_host_caps[j].push_back(
-          floor + scale * std::max(0.0, cap - floor));
-    }
-  }
-  clamped.job_host_gpu_caps.resize(allocation.job_host_gpu_caps.size());
-  for (std::size_t j = 0; j < allocation.job_host_gpu_caps.size(); ++j) {
-    clamped.job_host_gpu_caps[j].reserve(
-        allocation.job_host_gpu_caps[j].size());
-    for (std::size_t h = 0; h < allocation.job_host_gpu_caps[j].size(); ++h) {
-      const double floor = gpu_floors[j][h];
-      const double cap = allocation.job_host_gpu_caps[j][h];
-      clamped.job_host_gpu_caps[j].push_back(
-          floor + scale * std::max(0.0, cap - floor));
-    }
-  }
-  return clamped;
-}
-
-PowerAllocation clamp_allocation_to_budget(
-    const PowerAllocation& allocation,
-    const std::vector<std::vector<double>>& host_floors,
-    double budget_watts,
-    const std::vector<std::vector<double>>& gpu_floors,
-    std::span<const sim::SlaClass> job_classes) {
-  const bool uniform =
-      job_classes.empty() ||
-      std::all_of(job_classes.begin(), job_classes.end(),
-                  [&](sim::SlaClass c) { return c == job_classes.front(); });
-  if (uniform) {
-    // One class is one proportional family — exactly the classless clamp.
-    return clamp_allocation_to_budget(allocation, host_floors, budget_watts,
-                                      gpu_floors);
-  }
-  PS_REQUIRE(job_classes.size() == allocation.job_host_caps.size(),
-             "class list has a different number of jobs");
-  PS_REQUIRE(budget_watts > 0.0, "clamp budget must be positive");
-  PS_REQUIRE(host_floors.size() == allocation.job_host_caps.size(),
-             "floor shape has a different number of jobs");
-  PS_REQUIRE(gpu_floors.size() == allocation.job_host_gpu_caps.size(),
-             "GPU floor shape has a different number of jobs");
-
-  // Per-class totals of caps and floors across both power domains.
-  std::array<double, sim::kSlaClassCount> class_caps{};
-  std::array<double, sim::kSlaClassCount> class_floors{};
-  double total_caps = 0.0;
-  for (std::size_t j = 0; j < allocation.job_host_caps.size(); ++j) {
-    PS_REQUIRE(host_floors[j].size() == allocation.job_host_caps[j].size(),
-               "floor shape has a different number of hosts for a job");
-    const std::size_t rank = sim::sla_rank(job_classes[j]);
-    for (std::size_t h = 0; h < allocation.job_host_caps[j].size(); ++h) {
-      PS_REQUIRE(host_floors[j][h] >= 0.0, "host floor cannot be negative");
-      class_caps[rank] += allocation.job_host_caps[j][h];
-      class_floors[rank] += host_floors[j][h];
-      total_caps += allocation.job_host_caps[j][h];
-    }
-    if (j < allocation.job_host_gpu_caps.size() &&
-        !allocation.job_host_gpu_caps[j].empty()) {
-      PS_REQUIRE(
-          gpu_floors[j].size() == allocation.job_host_gpu_caps[j].size(),
-          "GPU floor shape has a different number of hosts for a job");
-      for (std::size_t h = 0; h < allocation.job_host_gpu_caps[j].size();
-           ++h) {
-        PS_REQUIRE(gpu_floors[j][h] >= 0.0, "GPU floor cannot be negative");
-        class_caps[rank] += allocation.job_host_gpu_caps[j][h];
-        class_floors[rank] += gpu_floors[j][h];
-        total_caps += allocation.job_host_gpu_caps[j][h];
-      }
-    }
-  }
-
-  // Take the required reduction from the lowest class first: a class is
-  // pinned to its floors while the reduction still exceeds its excess,
-  // the class where the reduction runs out is scaled proportionally, and
-  // every class above it keeps its caps untouched.
-  std::array<double, sim::kSlaClassCount> class_scale;
-  class_scale.fill(1.0);
-  double reduction = std::max(0.0, total_caps - budget_watts);
-  for (std::size_t rank = 0; rank < sim::kSlaClassCount && reduction > 0.0;
-       ++rank) {
-    const double excess = class_caps[rank] - class_floors[rank];
-    if (excess <= 0.0) {
-      continue;
-    }
-    const double take = std::min(reduction, excess);
-    class_scale[rank] = 1.0 - take / excess;
-    reduction -= take;
-  }
-
-  PowerAllocation clamped;
-  clamped.job_host_caps.resize(allocation.job_host_caps.size());
-  clamped.job_host_gpu_caps.resize(allocation.job_host_gpu_caps.size());
-  for (std::size_t j = 0; j < allocation.job_host_caps.size(); ++j) {
-    const double scale = class_scale[sim::sla_rank(job_classes[j])];
-    clamped.job_host_caps[j].reserve(allocation.job_host_caps[j].size());
-    for (std::size_t h = 0; h < allocation.job_host_caps[j].size(); ++h) {
-      const double floor = host_floors[j][h];
-      const double cap = allocation.job_host_caps[j][h];
-      clamped.job_host_caps[j].push_back(
-          floor + scale * std::max(0.0, cap - floor));
-    }
-    if (j < allocation.job_host_gpu_caps.size()) {
-      clamped.job_host_gpu_caps[j].reserve(
-          allocation.job_host_gpu_caps[j].size());
-      for (std::size_t h = 0; h < allocation.job_host_gpu_caps[j].size();
-           ++h) {
-        const double floor = gpu_floors[j][h];
-        const double cap = allocation.job_host_gpu_caps[j][h];
-        clamped.job_host_gpu_caps[j].push_back(
-            floor + scale * std::max(0.0, cap - floor));
-      }
-    }
-  }
-  return clamped;
-}
 
 SystemPowerManager::SystemPowerManager(double system_budget_watts)
     : budget_(system_budget_watts) {

@@ -2,12 +2,10 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "obs/obs.hpp"
 #include "rm/allocation.hpp"
 #include "sim/job_sim.hpp"
-#include "sim/sla.hpp"
 
 namespace ps::rm {
 
@@ -25,39 +23,6 @@ struct ExcursionTelemetry {
   bool in_excursion = false;               ///< Currently above budget.
   double current_excursion_seconds = 0.0;  ///< Age of the open episode.
 };
-
-/// Proportional scale-down of an allocation onto `budget_watts`,
-/// preserving the policy's shape: every cap moves toward its host floor
-/// by the same fraction, c' = f + s·(c − f) with
-/// s = (B − Σf) / (Σc − Σf) clamped to [0, 1]. If even the floors exceed
-/// the budget, every host lands exactly on its floor — the stack never
-/// programs below a settable minimum. Shapes of `allocation` and
-/// `host_floors` must match. On a multi-domain allocation the single
-/// scale spans both domains (sums include the GPU caps) and each GPU cap
-/// is floor-preserved against its own `gpu_floors` entry — a brownout
-/// squeezes CPU and GPU proportionally, never through a domain's floor.
-/// `gpu_floors` must match the shape of `job_host_gpu_caps` (empty when
-/// the allocation is CPU-only).
-[[nodiscard]] PowerAllocation clamp_allocation_to_budget(
-    const PowerAllocation& allocation,
-    const std::vector<std::vector<double>>& host_floors,
-    double budget_watts,
-    const std::vector<std::vector<double>>& gpu_floors = {});
-
-/// Priority-ordered variant: the reduction onto `budget_watts` is taken
-/// from the lowest SLA class first — every best_effort job is squeezed
-/// to its floors before a standard job loses a watt, and
-/// latency_critical sheds last. Within one class the squeeze is the same
-/// proportional floor-preserving scale as the classless clamp. With
-/// `job_classes` empty or uniform this is exactly the classless clamp
-/// (bit-identical), so single-tenant callers can pass through freely.
-/// `job_classes`, when non-empty, must have one entry per job.
-[[nodiscard]] PowerAllocation clamp_allocation_to_budget(
-    const PowerAllocation& allocation,
-    const std::vector<std::vector<double>>& host_floors,
-    double budget_watts,
-    const std::vector<std::vector<double>>& gpu_floors,
-    std::span<const sim::SlaClass> job_classes);
 
 /// The resource manager's power-enforcement arm: owns the system-wide
 /// power budget and programs per-host RAPL caps from a policy's

@@ -1,6 +1,6 @@
 // Dynamic-budget behavior of the RM power arm: epoch-guarded budget
-// renegotiation, the proportional emergency clamp, excursion telemetry,
-// and the RAPL quantization-tolerance boundary.
+// renegotiation, excursion telemetry, and the RAPL quantization-tolerance
+// boundary.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -47,79 +47,6 @@ TEST_F(DynamicPowerManagerTest, SetBudgetAdvancesOnlyWithNewerEpoch) {
   EXPECT_TRUE(manager.set_budget(650.0, 5));  // epochs may skip
   EXPECT_EQ(manager.budget_epoch(), 5u);
   EXPECT_THROW(static_cast<void>(manager.set_budget(0.0, 9)),
-               InvalidArgument);
-}
-
-TEST(ClampAllocationTest, NoopWhenAllocationFits) {
-  PowerAllocation allocation;
-  allocation.job_host_caps = {{190.0, 200.0}, {180.0, 210.0}};  // 780 W
-  const std::vector<std::vector<double>> floors = {{150.0, 150.0},
-                                                   {150.0, 150.0}};
-  const PowerAllocation clamped =
-      clamp_allocation_to_budget(allocation, floors, 800.0);
-  EXPECT_EQ(clamped.job_host_caps, allocation.job_host_caps);
-}
-
-TEST(ClampAllocationTest, ScalesProportionallyAboveTheFloors) {
-  PowerAllocation allocation;
-  allocation.job_host_caps = {{200.0, 250.0}};  // 450 W
-  const std::vector<std::vector<double>> floors = {{150.0, 150.0}};
-  // Budget 375 W: Σf = 300, s = (375-300)/(450-300) = 0.5.
-  const PowerAllocation clamped =
-      clamp_allocation_to_budget(allocation, floors, 375.0);
-  EXPECT_DOUBLE_EQ(clamped.job_host_caps[0][0], 175.0);
-  EXPECT_DOUBLE_EQ(clamped.job_host_caps[0][1], 200.0);
-  EXPECT_DOUBLE_EQ(clamped.total_watts(), 375.0);  // watt-exact on budget
-}
-
-TEST(ClampAllocationTest, FloorsWinWhenBudgetIsBelowThem) {
-  PowerAllocation allocation;
-  allocation.job_host_caps = {{200.0, 250.0}};
-  const std::vector<std::vector<double>> floors = {{150.0, 160.0}};
-  const PowerAllocation clamped =
-      clamp_allocation_to_budget(allocation, floors, 100.0);
-  // Never below a settable minimum, even when that overshoots the budget.
-  EXPECT_DOUBLE_EQ(clamped.job_host_caps[0][0], 150.0);
-  EXPECT_DOUBLE_EQ(clamped.job_host_caps[0][1], 160.0);
-}
-
-TEST(ClampAllocationTest, PreservesShapeOrdering) {
-  // The policy's relative preferences survive the clamp: a host that got
-  // more above its floor keeps more.
-  PowerAllocation allocation;
-  allocation.job_host_caps = {{160.0, 240.0, 200.0}};
-  const std::vector<std::vector<double>> floors = {{150.0, 150.0, 150.0}};
-  const PowerAllocation clamped =
-      clamp_allocation_to_budget(allocation, floors, 500.0);
-  EXPECT_LT(clamped.job_host_caps[0][0], clamped.job_host_caps[0][2]);
-  EXPECT_LT(clamped.job_host_caps[0][2], clamped.job_host_caps[0][1]);
-  EXPECT_NEAR(clamped.total_watts(), 500.0, 1e-9);
-}
-
-TEST(ClampAllocationTest, ShapeMismatchMessagesNameTheAxis) {
-  PowerAllocation allocation;
-  allocation.job_host_caps = {{200.0, 250.0}};
-  try {
-    static_cast<void>(clamp_allocation_to_budget(
-        allocation, {{150.0, 150.0}, {150.0}}, 400.0));
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& error) {
-    EXPECT_NE(std::string(error.what()).find("number of jobs"),
-              std::string::npos);
-  }
-  try {
-    static_cast<void>(
-        clamp_allocation_to_budget(allocation, {{150.0}}, 400.0));
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& error) {
-    EXPECT_NE(std::string(error.what()).find("number of hosts"),
-              std::string::npos);
-  }
-  EXPECT_THROW(static_cast<void>(clamp_allocation_to_budget(
-                   allocation, {{150.0, -1.0}}, 400.0)),
-               InvalidArgument);
-  EXPECT_THROW(static_cast<void>(clamp_allocation_to_budget(
-                   allocation, {{150.0, 150.0}}, 0.0)),
                InvalidArgument);
 }
 

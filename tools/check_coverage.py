@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Enforce the committed line-coverage ratchet (src/core, net, sim, ha, hw,
-runtime, facility).
+runtime, facility, rm).
 
 CI builds with --coverage, runs ctest, and collects line coverage; this
 script then fails the job if any tracked group fell below its committed
