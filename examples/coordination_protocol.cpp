@@ -6,6 +6,7 @@
 //   ./coordination_protocol
 #include <cstdio>
 
+#include "core/coordination.hpp"
 #include "core/endpoint.hpp"
 #include "core/policies.hpp"
 #include "net/framing.hpp"
@@ -35,13 +36,20 @@ int main() {
 
   core::Endpoint endpoint;
   const core::MixedAdaptivePolicy policy;
+  // Each job's runtime: runs its iterations, keeps the live demand
+  // estimate, and measures itself into samples.
+  core::JobStep step_a(job_a, {});
+  core::JobStep step_b(job_b, {});
 
   std::printf("RM <-> runtime protocol demo, budget %s, 3 epochs\n\n",
               util::format_watts(budget).c_str());
   for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
-    // --- Runtime side: measure and post samples. ---
-    endpoint.post_sample(core::make_sample(job_a, epoch));
-    endpoint.post_sample(core::make_sample(job_b, epoch));
+    // --- Runtime side: run an iteration, then measure and post samples.
+    core::IterationTotals totals;
+    step_a.run_epoch(1, totals);
+    step_b.run_epoch(1, totals);
+    endpoint.post_sample(step_a.sample(epoch));
+    endpoint.post_sample(step_b.sample(epoch));
 
     // --- RM side: drain samples, allocate, post policies. ---
     std::vector<core::SampleMessage> samples;
@@ -59,9 +67,7 @@ int main() {
 
     // --- Runtime side: apply the received caps. ---
     while (auto message = endpoint.receive_policy()) {
-      sim::JobSimulation& job =
-          message->job_name == "wasteful" ? job_a : job_b;
-      core::apply_policy_message(job, *message);
+      (message->job_name == "wasteful" ? step_a : step_b).apply(*message);
     }
 
     std::printf("epoch %llu: wasteful %s  (waiting host cap %s), hungry "
@@ -75,7 +81,7 @@ int main() {
   // One sample as it crosses a socket: the framed binary payload, and
   // the fields a receiver decodes from it.
   const std::string frame =
-      net::encode_frame(core::serialize(core::make_sample(job_a, 4)));
+      net::encode_frame(core::serialize(step_a.sample(4)));
   net::FrameDecoder decoder;
   decoder.feed(frame);
   const core::SampleMessage decoded =

@@ -36,15 +36,6 @@ std::optional<core::BudgetLevel> parse_budget(std::string_view name) {
   return std::nullopt;
 }
 
-std::optional<core::PolicyKind> parse_policy(std::string_view name) {
-  for (core::PolicyKind kind : core::all_policy_kinds()) {
-    if (util::iequals(name, core::to_string(kind))) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
 void print_usage() {
   std::printf("usage: policy_explorer <mix> <budget> <policy> [--nodes N]\n");
   std::printf("  mixes:   ");
@@ -71,7 +62,7 @@ int main(int argc, char** argv) {
   }
   const auto mix = parse_mix(argv[1]);
   const auto budget = parse_budget(argv[2]);
-  const auto policy = parse_policy(argv[3]);
+  const auto policy = core::parse_policy_kind(argv[3]);
   if (!mix || !budget || !policy) {
     print_usage();
     return 1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/invariants.hpp"
 #include "sim/facility_trace.hpp"
 #include "util/error.hpp"
 
@@ -85,6 +86,37 @@ std::vector<BudgetRevision> make_budget_schedule(
     }
   }
   return schedule;
+}
+
+RevisionSchedule::RevisionSchedule(std::span<const BudgetRevision> revisions)
+    : revisions_(revisions) {
+  for (std::size_t r = 0; r < revisions.size(); ++r) {
+    PS_REQUIRE(revisions[r].budget_watts > 0.0,
+               "scheduled budget revision must be positive");
+    PS_REQUIRE(r == 0 || revisions[r - 1].at_epoch <= revisions[r].at_epoch,
+               "scheduled budget revisions must be sorted by at_epoch");
+  }
+}
+
+void RevisionSchedule::skip_adopted(std::uint64_t adopted_epoch) {
+  while (next_ < revisions_.size() &&
+         revisions_[next_].epoch <= adopted_epoch) {
+    ++next_;
+  }
+}
+
+void RevisionSchedule::adopt_due(
+    std::size_t epoch, rm::SystemPowerManager& manager,
+    std::string_view where,
+    const std::function<void(const BudgetRevision&, bool adopted)>&
+        on_revision) {
+  while (next_ < revisions_.size() && revisions_[next_].at_epoch <= epoch) {
+    const BudgetRevision& revision = revisions_[next_++];
+    invariants::check_epoch_monotone(manager.budget_epoch(), revision.epoch,
+                                     where);
+    on_revision(revision,
+                manager.set_budget(revision.budget_watts, revision.epoch));
+  }
 }
 
 }  // namespace ps::core

@@ -1,9 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
+
+#include "rm/power_manager.hpp"
 
 namespace ps::sim {
 struct FacilityTrace;
@@ -94,5 +98,33 @@ class BudgetGovernor {
 [[nodiscard]] std::vector<BudgetRevision> make_budget_schedule(
     double initial_budget_watts, std::span<const double> signal_watts,
     const BudgetGovernorOptions& options = {});
+
+/// A pre-computed budget schedule and the cursor of its next entry: the
+/// one place scheduled revisions are validated, walked and adopted. The
+/// loop adopts the entries due at epoch e before that epoch runs; a
+/// daemon before the round that consumes sample sequence e + 1.
+class RevisionSchedule {
+ public:
+  /// Rejects a non-positive budget or entries out of at_epoch order. The
+  /// entries are viewed, not copied.
+  explicit RevisionSchedule(std::span<const BudgetRevision> revisions);
+
+  /// Passes over the entries a restored snapshot or promoted standby has
+  /// already adopted (epochs not newer than `adopted_epoch`).
+  void skip_adopted(std::uint64_t adopted_epoch);
+
+  /// Adopts every entry with at_epoch <= `epoch` into `manager`, in
+  /// order: each is checked for epoch monotonicity under `where`, then
+  /// reported with whether set_budget adopted it.
+  void adopt_due(
+      std::size_t epoch, rm::SystemPowerManager& manager,
+      std::string_view where,
+      const std::function<void(const BudgetRevision&, bool adopted)>&
+          on_revision);
+
+ private:
+  std::span<const BudgetRevision> revisions_;
+  std::size_t next_ = 0;
+};
 
 }  // namespace ps::core

@@ -52,7 +52,115 @@ double reread_caps(std::span<sim::JobSimulation* const> jobs,
   return change;
 }
 
+/// A sample of `job` with its envelope and needed power, no observed
+/// power yet.
+SampleMessage needed_power_sample(sim::JobSimulation& job,
+                                  const runtime::BalancerOptions& balancer,
+                                  std::uint64_t sequence) {
+  SampleMessage sample;
+  sample.sequence = sequence;
+  sample.job_name = job.name();
+  sample.min_settable_cap_watts = job.host(0).min_cap();
+  sample.sla_class = job.sla_class();
+  // The balancer search under an unconstrained budget re-derives each
+  // host's minimum performance-preserving cap for the job's *current*
+  // phase. A dead host needs nothing above the settable floor: the
+  // policy squeezes it there and the difference returns to the pool.
+  double tdp_budget = 0.0;
+  for (std::size_t h = 0; h < job.host_count(); ++h) {
+    tdp_budget += job.host(h).tdp();
+  }
+  sample.host_needed_watts = runtime::balance_power(job, tdp_budget, balancer);
+  for (std::size_t h = 0; h < job.host_count(); ++h) {
+    if (job.host_failed(h)) {
+      sample.host_needed_watts[h] = job.host(h).min_cap();
+    }
+  }
+  if (!job.has_gpu_domain()) {
+    return sample;
+  }
+  // Both domains are re-derived against one whole-node time target that
+  // honors the *iteration* critical path (the max of the concurrent CPU
+  // and GPU phases): a CPU phase far off the critical path needs only the
+  // cap that keeps it there, and the freed watts are exactly what shifts
+  // to the bottleneck domain.
+  const double target = runtime::uncapped_iteration_seconds(job) *
+                        (1.0 + balancer.tolerated_slowdown);
+  sample.host_gpu_needed_watts.assign(job.host_count(), 0.0);
+  for (std::size_t h = 0; h < job.host_count(); ++h) {
+    if (!job.host_failed(h)) {
+      sample.host_needed_watts[h] =
+          runtime::min_cap_for_time(job, h, target, balancer);
+    }
+    if (!job.host_has_gpu_phase(h)) {
+      continue;
+    }
+    if (sample.gpu_min_cap_watts == 0.0) {
+      sample.gpu_min_cap_watts = job.host_gpu_min_cap(h);
+      sample.gpu_tdp_watts = job.host_gpu_tdp(h);
+    }
+    sample.host_gpu_needed_watts[h] =
+        job.host_failed(h)
+            ? job.host_gpu_min_cap(h)
+            : runtime::min_gpu_cap_for_time(job, h, target, balancer);
+  }
+  return sample;
+}
+
 }  // namespace
+
+JobStep::JobStep(sim::JobSimulation& job,
+                 const runtime::BalancerOptions& balancer)
+    : job_(job), balancer_(balancer) {
+  demand_watts_.assign(job.host_count(), job.host(0).min_cap());
+  if (job.has_gpu_domain()) {
+    for (std::size_t h = 0; h < job.host_count(); ++h) {
+      gpu_demand_watts_.push_back(
+          job.host_has_gpu_phase(h) ? job.host_gpu_min_cap(h) : 0.0);
+    }
+  }
+}
+
+void JobStep::run_epoch(std::size_t iterations, IterationTotals& totals) {
+  for (std::size_t i = 0; i < iterations; ++i) {
+    const sim::IterationResult iteration = job_.run_iteration();
+    totals.elapsed_seconds += iteration.iteration_seconds;
+    totals.energy_joules += iteration.total_energy_joules;
+    totals.total_gflop += iteration.total_gflop;
+    for (std::size_t h = 0; h < job_.host_count(); ++h) {
+      demand_watts_[h] = std::max(demand_watts_[h],
+                                  iteration.hosts[h].average_power_watts);
+      if (job_.host_has_gpu_phase(h)) {
+        gpu_demand_watts_[h] = std::max(
+            gpu_demand_watts_[h], iteration.hosts[h].gpu_average_power_watts);
+      }
+    }
+  }
+}
+
+SampleMessage JobStep::sample(std::uint64_t sequence) {
+  SampleMessage sample = needed_power_sample(job_, balancer_, sequence);
+  // A dead host's ratchets fall to its floors, or its running-max history
+  // would keep attracting watts.
+  for (std::size_t h = 0; h < job_.host_count(); ++h) {
+    if (job_.host_failed(h)) {
+      demand_watts_[h] = job_.host(h).min_cap();
+      if (job_.host_has_gpu_phase(h)) {
+        gpu_demand_watts_[h] = job_.host_gpu_min_cap(h);
+      }
+    }
+  }
+  // Live "monitor" estimate: the running demand maximum observed so far
+  // (a host capped below its demand still reveals demand up to its cap;
+  // the estimate grows as caps rise).
+  sample.host_observed_watts = demand_watts_;
+  sample.host_gpu_observed_watts = gpu_demand_watts_;
+  return sample;
+}
+
+void JobStep::apply(const PolicyMessage& reply) {
+  apply_policy_message(job_, reply);
+}
 
 double CoordinationResult::gflops_per_watt() const {
   if (energy_joules <= 0.0) {
@@ -84,90 +192,10 @@ CoordinationLoop::CoordinationLoop(double system_budget_watts,
              "convergence threshold must be positive");
 }
 
-PolicyContext CoordinationLoop::build_context(
-    std::span<sim::JobSimulation* const> jobs) {
-  // Each job's live telemetry in the wire's shape: the RM step sees
-  // exactly the context a daemon builds from the same samples.
-  std::vector<SampleMessage> samples(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    sim::JobSimulation& job = *jobs[j];
-    SampleMessage& sample = samples[j];
-    sample.min_settable_cap_watts = job.host(0).min_cap();
-    sample.sla_class = job.sla_class();
-    // Live "needed" estimate: the balancer search under an unconstrained
-    // budget re-derives each host's minimum performance-preserving cap
-    // for the job's *current* phase.
-    double tdp_budget = 0.0;
-    for (std::size_t h = 0; h < job.host_count(); ++h) {
-      tdp_budget += job.host(h).tdp();
-    }
-    sample.host_needed_watts =
-        runtime::balance_power(job, tdp_budget, options_.balancer);
-    // A dead host needs (and demands) nothing above the settable floor:
-    // the policy squeezes it there and the difference returns to the
-    // pool for the survivors.
-    for (std::size_t h = 0; h < job.host_count(); ++h) {
-      if (job.host_failed(h)) {
-        sample.host_needed_watts[h] = job.host(h).min_cap();
-        live_[j].demand_watts[h] = job.host(h).min_cap();
-      }
-    }
-    // Live "monitor" estimate: the running demand maximum observed so
-    // far (a host capped below its demand still reveals demand up to its
-    // cap; the estimate grows as caps rise).
-    sample.host_observed_watts = live_[j].demand_watts;
-    if (job.has_gpu_domain()) {
-      // GPU-domain telemetry: live demand from the GPU ratchet, needed
-      // power re-derived per domain against one whole-node time target.
-      // Both searches must honor the *iteration* critical path (the max
-      // of the concurrent CPU and GPU phases): a CPU phase far off the
-      // critical path needs only the cap that keeps it there, and the
-      // freed watts are exactly what shifts to the bottleneck domain.
-      const double target =
-          runtime::uncapped_iteration_seconds(job) *
-          (1.0 + options_.balancer.tolerated_slowdown);
-      sample.host_gpu_needed_watts.assign(job.host_count(), 0.0);
-      sample.host_gpu_observed_watts = live_[j].gpu_demand_watts;
-      for (std::size_t h = 0; h < job.host_count(); ++h) {
-        if (!job.host_failed(h)) {
-          sample.host_needed_watts[h] =
-              runtime::min_cap_for_time(job, h, target, options_.balancer);
-        }
-        if (!job.host_has_gpu_phase(h)) {
-          continue;
-        }
-        if (sample.gpu_min_cap_watts == 0.0) {
-          sample.gpu_min_cap_watts = job.host_gpu_min_cap(h);
-          sample.gpu_tdp_watts = job.host_gpu_tdp(h);
-        }
-        if (job.host_failed(h)) {
-          sample.host_gpu_needed_watts[h] = job.host_gpu_min_cap(h);
-          live_[j].gpu_demand_watts[h] = job.host_gpu_min_cap(h);
-          sample.host_gpu_observed_watts[h] = job.host_gpu_min_cap(h);
-        } else {
-          sample.host_gpu_needed_watts[h] = runtime::min_gpu_cap_for_time(
-              job, h, target, options_.balancer);
-        }
-      }
-    }
-  }
-  return context_from_samples(budget_, jobs.front()->host(0).tdp(),
-                              jobs.front()->host(0).params().dram_watts,
-                              samples);
-}
-
 CoordinationResult CoordinationLoop::run(
     std::span<sim::JobSimulation* const> jobs,
     std::size_t total_iterations) {
-  return run_with_failures(jobs, total_iterations, {}, nullptr);
-}
-
-CoordinationResult CoordinationLoop::run_with_failures(
-    std::span<sim::JobSimulation* const> jobs,
-    std::size_t total_iterations,
-    std::span<const sim::FailureEvent> events,
-    FailureTelemetry* telemetry) {
-  return run_dynamic(jobs, total_iterations, events, {}, telemetry, nullptr);
+  return run_dynamic(jobs, total_iterations, {}, {});
 }
 
 CoordinationResult CoordinationLoop::run_dynamic(
@@ -187,34 +215,23 @@ CoordinationResult CoordinationLoop::run_dynamic(
     PS_REQUIRE(event.host < jobs[event.job]->host_count(),
                "failure event host out of range");
   }
-  for (std::size_t r = 1; r < revisions.size(); ++r) {
-    PS_REQUIRE(revisions[r - 1].at_epoch <= revisions[r].at_epoch,
-               "budget revisions must be sorted by at_epoch");
-  }
+  RevisionSchedule schedule(revisions);
 
-  // Initial state: the control round's uniform seed, demand estimates
-  // seeded at the settable floor. A job's hosts share one envelope, as
-  // the policy context assumes.
+  // Initial state: the control round's uniform seed, each job's runtime
+  // seeding its demand estimates at the settable floor. A job's hosts
+  // share one envelope, as the policy context assumes.
   std::vector<JobLimits> limits;
-  live_.assign(jobs.size(), {});
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const sim::JobSimulation& job = *jobs[j];
-    limits.push_back({.hosts = job.host_count(),
-                      .floor_watts = job.host(0).min_cap(),
-                      .tdp_watts = job.host(0).tdp(),
-                      .gpu_domain = job.has_gpu_domain(),
-                      .gpu_floor_watts = job.host(0).gpu_min_cap(),
-                      .gpu_tdp_watts = job.host(0).gpu_tdp(),
-                      .sla_class = job.sla_class()});
-    live_[j].demand_watts.assign(job.host_count(), job.host(0).min_cap());
-    if (job.has_gpu_domain()) {
-      live_[j].gpu_demand_watts.assign(job.host_count(), 0.0);
-      for (std::size_t h = 0; h < job.host_count(); ++h) {
-        if (job.host_has_gpu_phase(h)) {
-          live_[j].gpu_demand_watts[h] = job.host_gpu_min_cap(h);
-        }
-      }
-    }
+  std::vector<JobStep> steps;
+  steps.reserve(jobs.size());
+  for (sim::JobSimulation* job : jobs) {
+    limits.push_back({.hosts = job->host_count(),
+                      .floor_watts = job->host(0).min_cap(),
+                      .tdp_watts = job->host(0).tdp(),
+                      .gpu_domain = job->has_gpu_domain(),
+                      .gpu_floor_watts = job->host(0).gpu_min_cap(),
+                      .gpu_tdp_watts = job->host(0).gpu_tdp(),
+                      .sla_class = job->sla_class()});
+    steps.emplace_back(*job, options_.balancer);
   }
   const auto policy = make_policy(options_.policy);
   rm::SystemPowerManager manager(budget_);
@@ -232,7 +249,6 @@ CoordinationResult CoordinationLoop::run_dynamic(
   CoordinationResult result;
   std::vector<ReclaimRecord> pending_reclaims;
   std::size_t next_event = 0;
-  std::size_t next_revision = 0;
   std::size_t done = 0;
   std::size_t epoch_index = 0;
   while (done < total_iterations) {
@@ -242,27 +258,19 @@ CoordinationResult CoordinationLoop::run_dynamic(
     // Adopt this epoch's budget revisions before its iterations run. The
     // caps programmed at the last RM step keep running until this
     // epoch's own RM step — the bounded excursion window.
-    while (next_revision < revisions.size() &&
-           revisions[next_revision].at_epoch <= epoch_index) {
-      const BudgetRevision& revision = revisions[next_revision];
-      invariants::check_epoch_monotone(manager.budget_epoch(), revision.epoch,
-                                       "coordination.revision");
-      const bool applied =
-          manager.set_budget(revision.budget_watts, revision.epoch);
-      if (applied) {
-        budget_ = revision.budget_watts;
-        if (budget_telemetry != nullptr) {
-          ++budget_telemetry->revisions_applied;
-        }
-      } else if (budget_telemetry != nullptr) {
-        ++budget_telemetry->revisions_stale;
-      }
-      obs.emit(epoch_index, obs::cat::kCoord, "revision",
-               {{"revision_epoch", revision.epoch},
-                {"budget_watts", revision.budget_watts},
-                {"applied", applied}});
-      ++next_revision;
-    }
+    schedule.adopt_due(
+        epoch_index, manager, "coordination.revision",
+        [&](const BudgetRevision& revision, bool applied) {
+          if (budget_telemetry != nullptr) {
+            ++(applied ? budget_telemetry->revisions_applied
+                       : budget_telemetry->revisions_stale);
+          }
+          obs.emit(epoch_index, obs::cat::kCoord, "revision",
+                   {{"revision_epoch", revision.epoch},
+                    {"budget_watts", revision.budget_watts},
+                    {"applied", applied}});
+        });
+    const double budget = manager.budget_watts();
 
     // Apply this epoch's scheduled failures before its iterations run.
     while (next_event < events.size() &&
@@ -283,15 +291,9 @@ CoordinationResult CoordinationLoop::run_dynamic(
                                        job.host_gpu_min_cap(event.host);
           }
           pending_reclaims.push_back(reclaim);
+          // The job's next sample pins the dead host's demand ratchets
+          // at its floors.
           job.set_host_failed(event.host, true);
-          // The demand ratchet must fall with the host: a dead host's
-          // running-max history would otherwise keep attracting watts.
-          live_[event.job].demand_watts[event.host] =
-              job.host(event.host).min_cap();
-          if (job.host_has_gpu_phase(event.host)) {
-            live_[event.job].gpu_demand_watts[event.host] =
-                job.host_gpu_min_cap(event.host);
-          }
           break;
         }
         case sim::FailureKind::kStragglerOnset:
@@ -314,32 +316,20 @@ CoordinationResult CoordinationLoop::run_dynamic(
     EpochRecord record;
     record.epoch = epoch_index;
     double epoch_max_elapsed = 0.0;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      double job_elapsed = 0.0;
-      for (std::size_t i = 0; i < this_epoch; ++i) {
-        const sim::IterationResult iteration = jobs[j]->run_iteration();
-        job_elapsed += iteration.iteration_seconds;
-        record.energy_joules += iteration.total_energy_joules;
-        result.total_gflop += iteration.total_gflop;
-        for (std::size_t h = 0; h < jobs[j]->host_count(); ++h) {
-          live_[j].demand_watts[h] =
-              std::max(live_[j].demand_watts[h],
-                       iteration.hosts[h].average_power_watts);
-          if (jobs[j]->host_has_gpu_phase(h)) {
-            live_[j].gpu_demand_watts[h] =
-                std::max(live_[j].gpu_demand_watts[h],
-                         iteration.hosts[h].gpu_average_power_watts);
-          }
-        }
-      }
-      epoch_max_elapsed = std::max(epoch_max_elapsed, job_elapsed);
+    for (JobStep& step : steps) {
+      IterationTotals totals{.energy_joules = record.energy_joules,
+                             .total_gflop = result.total_gflop};
+      step.run_epoch(this_epoch, totals);
+      record.energy_joules = totals.energy_joules;
+      result.total_gflop = totals.total_gflop;
+      epoch_max_elapsed = std::max(epoch_max_elapsed, totals.elapsed_seconds);
     }
     record.elapsed_seconds = epoch_max_elapsed;
     record.system_power_watts =
         epoch_max_elapsed > 0.0 ? record.energy_joules / epoch_max_elapsed
                                 : 0.0;
     done += this_epoch;
-    record.budget_watts = budget_;
+    record.budget_watts = budget;
     record.budget_epoch = manager.budget_epoch();
 
     // Account the control period the epoch's caps just ran for: after a
@@ -350,16 +340,24 @@ CoordinationResult CoordinationLoop::run_dynamic(
         rm::SystemPowerManager::total_allocated_watts(jobs);
     manager.observe_programmed(programmed, total_limits,
                                record.elapsed_seconds);
-    if (programmed > budget_ + tolerance && budget_telemetry != nullptr) {
+    if (programmed > budget + tolerance && budget_telemetry != nullptr) {
       budget_telemetry->excursion_epochs.push_back(epoch_index);
     }
 
-    // RM step: one control round over the live telemetry. Only
+    // RM step: one control round over the live telemetry, in the wire's
+    // shape — the context a daemon builds from the same samples. Only
     // system-aware policies are held to the budget.
-    const PolicyContext context = build_context(jobs);
+    std::vector<SampleMessage> samples;
+    samples.reserve(steps.size());
+    for (JobStep& step : steps) {
+      samples.push_back(step.sample(epoch_index + 1));
+    }
+    const PolicyContext context = context_from_samples(
+        budget, jobs.front()->host(0).tdp(),
+        jobs.front()->host(0).params().dram_watts, samples);
     const RoundOutcome round =
         ControlRound{.jobs = limits,
-                     .budget_watts = budget_,
+                     .budget_watts = budget,
                      .policy = policy.get(),
                      .context = &context,
                      .caps_in_force = &in_force,
@@ -378,9 +376,9 @@ CoordinationResult CoordinationLoop::run_dynamic(
       manager.apply(jobs, round.caps, /*enforce_budget=*/false);
     }
     // Close the excursion (if any) at the reprogram instant.
-    manager.observe_programmed(
-        rm::SystemPowerManager::total_allocated_watts(jobs), total_limits,
-        0.0);
+    record.allocated_watts =
+        rm::SystemPowerManager::total_allocated_watts(jobs);
+    manager.observe_programmed(record.allocated_watts, total_limits, 0.0);
 
     // A failure is reclaimed once the dead host sits at the floor: every
     // watt above the settable minimum is back in the pool. Policies park
@@ -414,8 +412,6 @@ CoordinationResult CoordinationLoop::run_dynamic(
       }
     }
 
-    record.allocated_watts =
-        rm::SystemPowerManager::total_allocated_watts(jobs);
     // Convergence tracks GPU-domain moves too: a loop still shifting
     // watts CPU<->GPU has not settled.
     record.max_cap_change_watts = reread_caps(jobs, in_force);
@@ -447,6 +443,7 @@ CoordinationResult CoordinationLoop::run_dynamic(
     result.epochs.push_back(record);
     ++epoch_index;
   }
+  budget_ = manager.budget_watts();
   if (telemetry != nullptr) {
     telemetry->reclaims = std::move(pending_reclaims);
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/budget_governor.hpp"
+#include "core/endpoint.hpp"
 #include "core/policy.hpp"
 #include "obs/obs.hpp"
 #include "rm/power_manager.hpp"
@@ -13,6 +14,46 @@
 #include "sim/job_sim.hpp"
 
 namespace ps::core {
+
+/// Sums over the iterations a JobStep ran, added in the order they ran.
+struct IterationTotals {
+  double elapsed_seconds = 0.0;
+  double energy_joules = 0.0;
+  double total_gflop = 0.0;
+};
+
+/// The job side of the execution-time protocol (Section VIII): one job's
+/// runtime between RM steps. It runs an epoch's iterations, keeps the
+/// live demand estimate (per domain, a running max of observed power
+/// seeded at the settable floor), reports a SampleMessage, and programs
+/// the caps of the reply. CoordinationLoop holds one per job in memory;
+/// net::CoordinatedAgent holds one and trades its samples over a socket —
+/// so both send the RM the same telemetry and program the same caps.
+class JobStep {
+ public:
+  JobStep(sim::JobSimulation& job, const runtime::BalancerOptions& balancer);
+
+  /// Runs `iterations` iterations, adding each one's time, energy and
+  /// work to `totals` and ratcheting the demand estimates.
+  void run_epoch(std::size_t iterations, IterationTotals& totals);
+
+  /// The job's live telemetry: its envelope, the observed demand and the
+  /// needed power as it runs now — the balancer's per-host search,
+  /// re-derived per domain against the iteration critical path for a
+  /// GPU-domain job. A failed host needs and demands nothing above its
+  /// floors; its ratchets fall here.
+  [[nodiscard]] SampleMessage sample(std::uint64_t sequence);
+
+  /// Programs a reply's caps, GPU caps included.
+  void apply(const PolicyMessage& reply);
+
+ private:
+  sim::JobSimulation& job_;
+  runtime::BalancerOptions balancer_;
+  std::vector<double> demand_watts_;
+  /// Empty for CPU-only jobs; 0 on hosts without a GPU phase.
+  std::vector<double> gpu_demand_watts_;
+};
 
 /// Knobs of the execution-time coordination protocol.
 struct CoordinationOptions {
@@ -119,29 +160,22 @@ class CoordinationLoop {
   CoordinationResult run(std::span<sim::JobSimulation* const> jobs,
                          std::size_t total_iterations);
 
-  /// Like run(), but applies `events` at the start of their epochs: node
-  /// failures zero the dead host's telemetry (the policy then squeezes
-  /// it to the floor, redistributing the freed watts to the survivors),
-  /// stragglers stretch a host's busy time until recovery. Telemetry —
-  /// time-to-reclaim per failure, budget-violation epochs — lands in
-  /// `telemetry` when non-null. Events must be sorted by epoch.
-  CoordinationResult run_with_failures(
-      std::span<sim::JobSimulation* const> jobs,
-      std::size_t total_iterations,
-      std::span<const sim::FailureEvent> events,
-      FailureTelemetry* telemetry = nullptr);
-
   /// The full protocol: failures AND budget revisions replay together.
-  /// Each revision is adopted at the start of its `at_epoch` (stale
-  /// epochs rejected); the caps programmed at the previous RM step keep
-  /// running for that one epoch — the bounded excursion — and the RM
-  /// step at the epoch's end re-allocates under the revised budget,
-  /// falling back to the emergency clamp when the policy output and the
-  /// last caps both exceed it. Invariants (Σcaps ≤ budget + tolerance,
-  /// cap bounds, epoch monotonicity, watt conservation on reclaim) are
-  /// checked every epoch via core::invariants. `revisions` must be
-  /// sorted by `at_epoch`. After the run, budget_watts() reflects the
-  /// last adopted revision.
+  /// `events` (sorted by epoch) apply at the start of their epochs: a
+  /// node failure pins the dead host at its floors from the job's next
+  /// sample (the freed watts go to the survivors), a straggler stretches
+  /// a host's busy time until recovery; reclaim times and over-budget
+  /// policy outputs land in `failure_telemetry`. `revisions` go through
+  /// one RevisionSchedule, as a daemon's do: each is adopted at the start
+  /// of its `at_epoch` (stale epochs rejected); the caps programmed at
+  /// the previous RM step keep running for that one epoch — the bounded
+  /// excursion — and the RM step at the epoch's end re-allocates under
+  /// the revised budget, falling back to the emergency clamp when the
+  /// policy output and the last caps both exceed it. Invariants (Σcaps ≤
+  /// budget + tolerance, cap bounds, epoch monotonicity, watt
+  /// conservation on reclaim) are checked every epoch via
+  /// core::invariants. After the run, budget_watts() reflects the last
+  /// adopted revision.
   CoordinationResult run_dynamic(
       std::span<sim::JobSimulation* const> jobs,
       std::size_t total_iterations,
@@ -156,19 +190,8 @@ class CoordinationLoop {
   }
 
  private:
-  /// Live stand-in for the offline characterization of one job.
-  struct LiveCharacterization {
-    std::vector<double> demand_watts;  ///< Running max of observed power.
-    /// Running max of observed GPU-domain power; empty for CPU-only jobs.
-    std::vector<double> gpu_demand_watts;
-  };
-
-  [[nodiscard]] PolicyContext build_context(
-      std::span<sim::JobSimulation* const> jobs);
-
   double budget_;
   CoordinationOptions options_;
-  std::vector<LiveCharacterization> live_;
 };
 
 }  // namespace ps::core

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "core/wire.hpp"
-#include "runtime/power_balancer_agent.hpp"
+#include "rm/power_manager.hpp"
 #include "util/error.hpp"
 
 namespace ps::core {
@@ -294,51 +294,6 @@ std::optional<PolicyMessage> Endpoint::receive_policy() {
   return parse_policy_message(wire);
 }
 
-SampleMessage make_sample(sim::JobSimulation& job, std::uint64_t sequence) {
-  SampleMessage message;
-  message.sequence = sequence;
-  message.job_name = job.name();
-  message.min_settable_cap_watts = job.host(0).min_cap();
-  // Observed: the model's steady draw under current caps (one probe
-  // iteration's per-host average); needed: the balancer search.
-  const sim::IterationResult probe = job.run_iteration();
-  message.host_observed_watts.reserve(job.host_count());
-  for (const auto& host : probe.hosts) {
-    message.host_observed_watts.push_back(host.average_power_watts);
-  }
-  double tdp_budget = 0.0;
-  for (std::size_t h = 0; h < job.host_count(); ++h) {
-    tdp_budget += job.host(h).tdp();
-  }
-  message.host_needed_watts = runtime::balance_power(job, tdp_budget);
-  message.sla_class = job.sla_class();
-  if (job.has_gpu_domain()) {
-    // Second domain: observed GPU draw from the probe; needed GPU power
-    // from the cap-to-time inversion against the tolerated critical path.
-    const runtime::BalancerOptions options;
-    const double target = runtime::uncapped_iteration_seconds(job) *
-                          (1.0 + options.tolerated_slowdown);
-    message.host_gpu_observed_watts.reserve(job.host_count());
-    message.host_gpu_needed_watts.reserve(job.host_count());
-    for (std::size_t h = 0; h < job.host_count(); ++h) {
-      if (!job.host_has_gpu_phase(h)) {
-        message.host_gpu_observed_watts.push_back(0.0);
-        message.host_gpu_needed_watts.push_back(0.0);
-        continue;
-      }
-      message.host_gpu_observed_watts.push_back(
-          probe.hosts[h].gpu_average_power_watts);
-      message.host_gpu_needed_watts.push_back(
-          runtime::min_gpu_cap_for_time(job, h, target, options));
-      if (message.gpu_min_cap_watts == 0.0) {
-        message.gpu_min_cap_watts = job.host_gpu_min_cap(h);
-        message.gpu_tdp_watts = job.host_gpu_tdp(h);
-      }
-    }
-  }
-  return message;
-}
-
 PolicyContext context_from_samples(
     double system_budget_watts, double node_tdp_watts,
     double uncappable_watts, const std::vector<SampleMessage>& samples) {
@@ -405,18 +360,8 @@ void apply_policy_message(sim::JobSimulation& job,
                           const PolicyMessage& message) {
   PS_REQUIRE(message.job_name == job.name(),
              "policy message addressed to a different job");
-  PS_REQUIRE(message.host_caps_watts.size() == job.host_count(),
-             "policy message host count mismatch");
-  PS_REQUIRE(message.host_gpu_caps_watts.empty() ||
-                 message.host_gpu_caps_watts.size() == job.host_count(),
-             "policy message GPU host count mismatch");
-  for (std::size_t h = 0; h < job.host_count(); ++h) {
-    job.set_host_cap(h, message.host_caps_watts[h]);
-    if (!message.host_gpu_caps_watts.empty() &&
-        job.host(h).gpu_count() > 0) {
-      job.set_host_gpu_cap(h, message.host_gpu_caps_watts[h]);
-    }
-  }
+  rm::SystemPowerManager::program_job(job, message.host_caps_watts,
+                                      message.host_gpu_caps_watts);
 }
 
 }  // namespace ps::core

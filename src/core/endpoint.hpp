@@ -227,11 +227,6 @@ class Endpoint {
   std::deque<std::string> policies_;
 };
 
-/// Runtime side: measures one job into a SampleMessage (observed power
-/// from its last iteration; needed power from the balancer search).
-[[nodiscard]] SampleMessage make_sample(sim::JobSimulation& job,
-                                        std::uint64_t sequence);
-
 /// RM side: reconstructs a PolicyContext from received samples.
 [[nodiscard]] PolicyContext context_from_samples(
     double system_budget_watts, double node_tdp_watts,

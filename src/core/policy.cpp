@@ -2,6 +2,7 @@
 
 #include "core/policies.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace ps::core {
 
@@ -116,6 +117,18 @@ std::vector<PolicyKind> all_policy_kinds() {
   return {PolicyKind::kPrecharacterized, PolicyKind::kStaticCaps,
           PolicyKind::kMinimizeWaste, PolicyKind::kJobAdaptive,
           PolicyKind::kMixedAdaptive};
+}
+
+std::optional<PolicyKind> parse_policy_kind(std::string_view name) {
+  for (PolicyKind kind :
+       {PolicyKind::kPrecharacterized, PolicyKind::kStaticCaps,
+        PolicyKind::kMinimizeWaste, PolicyKind::kJobAdaptive,
+        PolicyKind::kMixedAdaptive, PolicyKind::kHeteroAdaptive}) {
+    if (util::iequals(name, to_string(kind))) {
+      return kind;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace ps::core

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -73,5 +74,9 @@ enum class PolicyKind {
 [[nodiscard]] std::unique_ptr<Policy> make_policy(PolicyKind kind);
 /// The paper's five policies (figure grids); excludes kHeteroAdaptive.
 [[nodiscard]] std::vector<PolicyKind> all_policy_kinds();
+/// The kind whose to_string matches `name`, ignoring case; every kind is
+/// accepted, kHeteroAdaptive included. nullopt for an unknown name.
+[[nodiscard]] std::optional<PolicyKind> parse_policy_kind(
+    std::string_view name);
 
 }  // namespace ps::core

@@ -9,86 +9,44 @@ namespace ps::net {
 CoordinatedAgent::CoordinatedAgent(sim::JobSimulation& job,
                                    RuntimeClient& client,
                                    const AgentOptions& options)
-    : job_(job), client_(client), options_(options) {
+    : step_(job, options.balancer), client_(client), options_(options) {
   PS_REQUIRE(options.epoch_iterations > 0,
              "epochs need at least one iteration");
-  demand_watts_.assign(job_.host_count(), job_.host(0).min_cap());
 }
 
-double CoordinatedAgent::tdp_budget_watts() const {
-  double budget = 0.0;
-  for (std::size_t h = 0; h < job_.host_count(); ++h) {
-    budget += job_.host(h).tdp();
+void CoordinatedAgent::exchange(AgentResult& result) {
+  const auto reply = client_.exchange(step_.sample(sequence_));
+  if (reply) {
+    step_.apply(*reply);
+    ++result.policies_applied;
+  } else {
+    // Daemon unreachable (or never heard from): hold the current caps
+    // until the client's backoff reconnects.
+    ++result.fallback_epochs;
   }
-  return budget;
-}
-
-core::SampleMessage CoordinatedAgent::build_sample() const {
-  core::SampleMessage sample;
-  sample.sequence = sequence_;
-  sample.job_name = job_.name();
-  sample.sla_class = job_.sla_class();
-  sample.min_settable_cap_watts = job_.host(0).min_cap();
-  sample.host_observed_watts = demand_watts_;
-  sample.host_needed_watts =
-      runtime::balance_power(job_, tdp_budget_watts(), options_.balancer);
-  return sample;
-}
-
-void CoordinatedAgent::apply_reply(const core::PolicyMessage& reply,
-                                   AgentResult& result) {
-  PS_REQUIRE(reply.host_caps_watts.size() == job_.host_count(),
-             "policy caps do not match the job's host count");
-  for (std::size_t h = 0; h < job_.host_count(); ++h) {
-    job_.set_host_cap(h, reply.host_caps_watts[h]);
-  }
-  ++result.policies_applied;
 }
 
 AgentResult CoordinatedAgent::run(std::size_t total_iterations) {
   PS_REQUIRE(total_iterations > 0, "need at least one iteration");
   AgentResult result;
 
-  if (options_.bootstrap && !bootstrapped_) {
+  if (sequence_ == 0) {
     // Launch handshake: a sequence-0 sample asks for the uniform share,
     // the caps CoordinationLoop programs before its first iteration.
-    const auto reply = client_.exchange(build_sample());
-    if (reply) {
-      apply_reply(*reply, result);
-    } else {
-      ++result.fallback_epochs;  // run on current caps until reachable
-    }
-    bootstrapped_ = true;
+    exchange(result);
   }
 
   std::size_t done = 0;
   while (done < total_iterations) {
     const std::size_t this_epoch =
         std::min(options_.epoch_iterations, total_iterations - done);
-    for (std::size_t i = 0; i < this_epoch; ++i) {
-      const sim::IterationResult iteration = job_.run_iteration();
-      result.elapsed_seconds += iteration.iteration_seconds;
-      result.energy_joules += iteration.total_energy_joules;
-      result.total_gflop += iteration.total_gflop;
-      for (std::size_t h = 0; h < job_.host_count(); ++h) {
-        demand_watts_[h] = std::max(
-            demand_watts_[h], iteration.hosts[h].average_power_watts);
-      }
-    }
+    step_.run_epoch(this_epoch, result);
     done += this_epoch;
     result.iterations += this_epoch;
     ++result.epochs;
 
     ++sequence_;
-    const auto reply = client_.exchange(build_sample());
-    if (reply) {
-      apply_reply(*reply, result);
-    } else if (client_.last_known_policy()) {
-      // Daemon unreachable: hold the last caps it gave us.
-      ++result.fallback_epochs;
-    } else {
-      ++result.fallback_epochs;  // never heard from it; keep current caps
-    }
+    exchange(result);
   }
   return result;
 }

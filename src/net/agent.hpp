@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "core/coordination.hpp"
 #include "net/client.hpp"
 #include "runtime/power_balancer_agent.hpp"
 #include "sim/job_sim.hpp"
@@ -14,29 +14,26 @@ struct AgentOptions {
   /// length for lockstep coordination (mirrors CoordinationOptions).
   std::size_t epoch_iterations = 5;
   runtime::BalancerOptions balancer{};
-  /// Request the uniform-share launch allocation (a sequence-0 sample)
-  /// before the first epoch. Disable for a job joining a running system.
-  bool bootstrap = true;
 };
 
-struct AgentResult {
+/// The iterations' time, energy and work, summed as they ran, plus the
+/// exchange counts.
+struct AgentResult : core::IterationTotals {
   std::size_t iterations = 0;
   std::size_t epochs = 0;
   std::size_t policies_applied = 0;
   /// Epochs that got no daemon reply and kept the last-known caps.
   std::size_t fallback_epochs = 0;
-  double elapsed_seconds = 0.0;
-  double energy_joules = 0.0;
-  double total_gflop = 0.0;
 };
 
-/// The job-side driver of the daemon protocol: per epoch it runs the
-/// job's iterations, maintains the live demand estimate (running max of
-/// observed per-host power, seeded at the settable floor), re-derives the
-/// balancer's needed power, and exchanges a SampleMessage for a
-/// PolicyMessage whose caps it programs. Epoch for epoch this is the
-/// per-job body of core::CoordinationLoop — which is why a daemon-run
-/// mix lands on the same allocation watt-for-watt.
+/// The job-side driver of the daemon protocol: a core::JobStep — the
+/// per-job body core::CoordinationLoop runs, GPU domain and failed-host
+/// floors included — whose samples and replies travel over a
+/// RuntimeClient. Before its first epoch it asks for the launch
+/// allocation with a sequence-0 sample; then, per epoch, it runs the
+/// job's iterations and exchanges a SampleMessage for a PolicyMessage
+/// whose caps it programs. Sharing the step is why a daemon-run mix lands
+/// on the loop's allocation watt-for-watt.
 ///
 /// When the daemon is unreachable the agent keeps computing on its
 /// last-known caps and lets the client's backoff schedule drive
@@ -53,21 +50,16 @@ class CoordinatedAgent {
   [[nodiscard]] std::uint64_t sequence() const noexcept {
     return sequence_;
   }
-  [[nodiscard]] const std::vector<double>& demand_watts() const noexcept {
-    return demand_watts_;
-  }
 
  private:
-  [[nodiscard]] core::SampleMessage build_sample() const;
-  [[nodiscard]] double tdp_budget_watts() const;
-  void apply_reply(const core::PolicyMessage& reply, AgentResult& result);
+  /// Trades the step's sample at the current sequence for a reply and
+  /// programs it; without one the job keeps running on its current caps.
+  void exchange(AgentResult& result);
 
-  sim::JobSimulation& job_;
+  core::JobStep step_;
   RuntimeClient& client_;
   AgentOptions options_;
-  std::vector<double> demand_watts_;
   std::uint64_t sequence_ = 0;
-  bool bootstrapped_ = false;
 };
 
 }  // namespace ps::net

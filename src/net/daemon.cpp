@@ -66,9 +66,9 @@ PowerDaemon::PowerDaemon(const DaemonOptions& options)
                  .on_frame = std::bind_front(&PowerDaemon::handle_frame, this),
                  .on_close = std::bind_front(&PowerDaemon::close_session, this),
                  .on_drained = [this] { try_allocate(); }},
-                options.transport_wrapper) {
-  PS_REQUIRE(options.system_budget_watts > 0.0,
-             "system budget must be positive");
+                options.transport_wrapper),
+      budget_(options.system_budget_watts),
+      schedule_(options_.budget_revisions) {
   PS_REQUIRE(options.min_jobs > 0, "launch barrier needs at least one job");
   PS_REQUIRE(options.tick_interval.count() > 0,
              "tick interval must be positive");
@@ -78,25 +78,20 @@ PowerDaemon::PowerDaemon(const DaemonOptions& options)
              "heartbeat timeout must be positive");
   PS_REQUIRE(options.quarantine_errors > 0,
              "quarantine threshold must be positive");
-  for (std::size_t r = 0; r < options.budget_revisions.size(); ++r) {
-    PS_REQUIRE(options.budget_revisions[r].budget_watts > 0.0,
-               "scheduled budget revision must be positive");
-    PS_REQUIRE(r == 0 || options.budget_revisions[r - 1].at_epoch <=
-                             options.budget_revisions[r].at_epoch,
-               "scheduled budget revisions must be sorted by at_epoch");
-  }
-  budget_watts_ = options.system_budget_watts;
   fence_epoch_ = options.fence_epoch;
   if (options_.initial_state) {
     // A promoted standby boots over the replicated state it applied —
     // the in-memory analogue of a disk-snapshot restore, with the same
     // authority rules.
     restore_state(*options_.initial_state);
-  } else {
-    restore_from_snapshot();
+  } else if (!options_.snapshot_path.empty()) {
+    // No snapshot (or a corrupt one) is a cold start.
+    if (const auto snapshot = load_snapshot(options_.snapshot_path)) {
+      restore_state(*snapshot);
+    }
   }
-  stats_.budget_watts = budget_watts_;
-  stats_.budget_epoch = budget_epoch_;
+  stats_.budget_watts = budget_.budget_watts();
+  stats_.budget_epoch = budget_.budget_epoch();
   stats_.fence_epoch = fence_epoch_;
   if (options_.obs.metrics != nullptr) {
     round_latency_ = &options_.obs.metrics->histogram(
@@ -107,31 +102,16 @@ PowerDaemon::PowerDaemon(const DaemonOptions& options)
 
 PowerDaemon::~PowerDaemon() = default;
 
-void PowerDaemon::restore_from_snapshot() {
-  if (options_.snapshot_path.empty()) {
-    return;
-  }
-  const auto snapshot = load_snapshot(options_.snapshot_path);
-  if (!snapshot) {
-    return;  // no snapshot (or a corrupt one): cold start
-  }
-  restore_state(*snapshot);
-}
-
 void PowerDaemon::restore_state(const DaemonSnapshot& snapshot) {
   if (snapshot.budget_epoch > 0) {
     // The budget was renegotiated before the crash. The snapshot is the
     // authority: restoring the configured budget would resurrect a
     // pre-brownout envelope the clients already heard revoked.
-    budget_watts_ = snapshot.system_budget_watts;
-    budget_epoch_ = snapshot.budget_epoch;
+    static_cast<void>(budget_.set_budget(snapshot.system_budget_watts,
+                                         snapshot.budget_epoch));
     // Scheduled revisions the previous incarnation already adopted must
     // not replay (their epochs are not newer).
-    while (next_scheduled_revision_ < options_.budget_revisions.size() &&
-           options_.budget_revisions[next_scheduled_revision_].epoch <=
-               budget_epoch_) {
-      ++next_scheduled_revision_;
-    }
+    schedule_.skip_adopted(budget_.budget_epoch());
   } else if (snapshot.system_budget_watts != options_.system_budget_watts) {
     // The persisted caps were computed under a different facility budget;
     // restoring them could violate the new one. Cold start instead.
@@ -158,8 +138,8 @@ void PowerDaemon::restore_state(const DaemonSnapshot& snapshot) {
   options_.obs.emit(
       allocation_epoch_base_, obs::cat::kDaemon, "restore",
       {{"jobs", static_cast<std::uint64_t>(snapshot.jobs.size())},
-       {"budget_watts", budget_watts_},
-       {"budget_epoch", budget_epoch_}});
+       {"budget_watts", budget_.budget_watts()},
+       {"budget_epoch", budget_.budget_epoch()}});
 }
 
 std::uint64_t PowerDaemon::completed_rounds() const {
@@ -214,38 +194,34 @@ void PowerDaemon::apply_pending_revisions() {
     revisions.swap(pending_revisions_);
   }
   for (const core::BudgetRevision& revision : revisions) {
-    apply_revision(revision);
+    // A push has no schedule position: it lands on the round clock.
+    on_revision(revision,
+                budget_.set_budget(revision.budget_watts, revision.epoch),
+                completed_rounds());
   }
 }
 
-void PowerDaemon::apply_revision(const core::BudgetRevision& revision) {
-  if (revision.epoch <= budget_epoch_) {
-    // A replayed or superseded revision: rejecting it (rather than
-    // re-applying) is what makes delivery idempotent.
-    {
-      const std::lock_guard<std::mutex> lock(shared_mutex_);
-      ++stats_.budget_revisions_stale;
-    }
-    options_.obs.count("net.daemon.revisions_stale");
-    options_.obs.emit(revision.at_epoch, obs::cat::kDaemon, "revision",
-                      {{"revision_epoch", revision.epoch},
-                       {"budget_watts", revision.budget_watts},
-                       {"applied", false}});
-    return;
-  }
-  budget_watts_ = revision.budget_watts;
-  budget_epoch_ = revision.epoch;
-  {
-    const std::lock_guard<std::mutex> lock(shared_mutex_);
-    ++stats_.budget_revisions_applied;
-    stats_.budget_watts = budget_watts_;
-    stats_.budget_epoch = budget_epoch_;
-  }
-  options_.obs.count("net.daemon.revisions_applied");
-  options_.obs.emit(revision.at_epoch, obs::cat::kDaemon, "revision",
+void PowerDaemon::on_revision(const core::BudgetRevision& revision,
+                              bool adopted, std::uint64_t tick) {
+  options_.obs.count(adopted ? "net.daemon.revisions_applied"
+                             : "net.daemon.revisions_stale");
+  options_.obs.emit(tick, obs::cat::kDaemon, "revision",
                     {{"revision_epoch", revision.epoch},
                      {"budget_watts", revision.budget_watts},
-                     {"applied", true}});
+                     {"applied", adopted}});
+  {
+    const std::lock_guard<std::mutex> lock(shared_mutex_);
+    if (!adopted) {
+      // A replayed or superseded revision: rejecting it (rather than
+      // re-applying) is what makes delivery idempotent.
+      ++stats_.budget_revisions_stale;
+      return;
+    }
+    ++stats_.budget_revisions_applied;
+    stats_.budget_watts = budget_.budget_watts();
+    stats_.budget_epoch = budget_.budget_epoch();
+  }
+  budget_emergency_ = revision.emergency;
   clamp_stored_caps();
   push_budget_to_sessions();
   // The revised budget must survive a restart: persist before any
@@ -253,12 +229,15 @@ void PowerDaemon::apply_revision(const core::BudgetRevision& revision) {
   maybe_write_snapshot();
 }
 
+std::string PowerDaemon::budget_frame() const {
+  const core::BudgetMessage message{.epoch = budget_.budget_epoch(),
+                                    .budget_watts = budget_.budget_watts(),
+                                    .emergency = budget_emergency_};
+  return encode_frame(serialize(message, core::WireFidelity::kExact));
+}
+
 void PowerDaemon::push_budget_to_sessions() {
-  core::BudgetMessage message;
-  message.epoch = budget_epoch_;
-  message.budget_watts = budget_watts_;
-  const std::size_t pushed = sessions_.broadcast(
-      encode_frame(serialize(message, core::WireFidelity::kExact)));
+  const std::size_t pushed = sessions_.broadcast(budget_frame());
   const std::lock_guard<std::mutex> lock(shared_mutex_);
   stats_.budget_pushes += pushed;
 }
@@ -289,11 +268,12 @@ void PowerDaemon::clamp_stored_caps() {
   if (limits.empty()) {
     return;
   }
-  core::RoundOutcome round = core::ControlRound{.jobs = limits,
-                                                .budget_watts = budget_watts_,
-                                                .caps_in_force = &stored,
-                                                .budget_binds = true}
-                                 .run();
+  core::RoundOutcome round =
+      core::ControlRound{.jobs = limits,
+                         .budget_watts = budget_.budget_watts(),
+                         .caps_in_force = &stored,
+                         .budget_binds = true}
+          .run();
   if (round.verdict != core::RoundVerdict::kClamp) {
     return;  // the stored caps still fit; nothing to clamp
   }
@@ -598,18 +578,13 @@ PowerDaemon::JobBinding PowerDaemon::bind_job_record(
 }
 
 void PowerDaemon::send_budget_resync(int fd, NetSession& session) {
-  if (budget_epoch_ == 0) {
+  if (budget_.budget_epoch() == 0) {
     return;
   }
   // Resync: a client registering (or reconnecting after an outage)
   // must hear the current budget epoch before any caps, or it would
   // reject them as stale / accept superseded ones.
-  core::BudgetMessage budget;
-  budget.epoch = budget_epoch_;
-  budget.budget_watts = budget_watts_;
-  sessions_.queue_frame(
-      fd, session,
-      encode_frame(serialize(budget, core::WireFidelity::kExact)));
+  sessions_.queue_frame(fd, session, budget_frame());
   if (!sessions_.contains(fd)) {
     throw InvalidArgument("session closed during budget resync");
   }
@@ -740,7 +715,7 @@ core::PolicyMessage PowerDaemon::stored_policy(
   // valid under it (clamp_stored_caps runs on every revision), and an
   // untagged resend would read as epoch 0 — rejected as stale by any
   // client that has already heard a newer budget.
-  message.budget_epoch = budget_epoch_;
+  message.budget_epoch = budget_.budget_epoch();
   // The fence tag is deliberately this incarnation's own: a zombie
   // primary's resends carry its superseded fence, which is exactly what
   // lets a failed-over client refuse them.
@@ -839,16 +814,15 @@ void PowerDaemon::allocate_once() {
   for (const core::SampleMessage& sample : samples) {
     round_sequence = std::max(round_sequence, sample.sequence);
   }
-  while (next_scheduled_revision_ < options_.budget_revisions.size() &&
-         options_.budget_revisions[next_scheduled_revision_].at_epoch <
-             round_sequence) {
-    core::invariants::check_epoch_monotone(
-        budget_epoch_,
-        options_.budget_revisions[next_scheduled_revision_].epoch,
-        "daemon.scheduled_revision");
-    apply_revision(options_.budget_revisions[next_scheduled_revision_]);
-    ++next_scheduled_revision_;
+  if (round_sequence > 0) {
+    schedule_.adopt_due(round_sequence - 1, budget_,
+                        "daemon.scheduled_revision",
+                        [this](const core::BudgetRevision& revision,
+                               bool adopted) {
+                          on_revision(revision, adopted, revision.at_epoch);
+                        });
   }
+  const double budget_watts = budget_.budget_watts();
 
   // The round itself: a bootstrap round seeds; later rounds allocate,
   // and keep-vs-clamp sees every job's stored caps. Its inputs go out of
@@ -863,14 +837,14 @@ void PowerDaemon::allocate_once() {
       stored.job_host_gpu_caps.push_back(record.last_gpu_caps_watts);
     }
     if (all_bootstrap) {
-      return core::ControlRound{.jobs = limits, .budget_watts = budget_watts_}
+      return core::ControlRound{.jobs = limits, .budget_watts = budget_watts}
           .run();
     }
     const core::PolicyContext context = core::context_from_samples(
-        budget_watts_, options_.node_tdp_watts, options_.uncappable_watts,
+        budget_watts, options_.node_tdp_watts, options_.uncappable_watts,
         samples);
     return core::ControlRound{.jobs = limits,
-                              .budget_watts = budget_watts_,
+                              .budget_watts = budget_watts,
                               .policy = policy_.get(),
                               .context = &context,
                               .caps_in_force = &stored,
@@ -888,7 +862,7 @@ void PowerDaemon::allocate_once() {
     // its stored caps if they still fit, else emergency-clamped it.
     options_.obs.count("net.daemon.budget_violations");
     options_.obs.emit(round_sequence, obs::cat::kDaemon, "violation",
-                      {{"budget_watts", budget_watts_}});
+                      {{"budget_watts", budget_watts}});
     {
       const std::lock_guard<std::mutex> lock(shared_mutex_);
       ++stats_.budget_violations;
@@ -914,7 +888,7 @@ void PowerDaemon::allocate_once() {
     }
     messages[j].sequence = samples[j].sequence;
     messages[j].job_name = samples[j].job_name;
-    messages[j].budget_epoch = budget_epoch_;
+    messages[j].budget_epoch = budget_.budget_epoch();
     messages[j].fence_epoch = fence_epoch_;
     JobRecord& record = jobs_.at(names[j]);
     record.last_caps_watts = messages[j].host_caps_watts;
@@ -935,8 +909,8 @@ void PowerDaemon::allocate_once() {
     options_.obs.emit(round_sequence, obs::cat::kDaemon, "round",
                       {{"round", round_sequence},
                        {"jobs", static_cast<std::uint64_t>(messages.size())},
-                       {"budget_watts", budget_watts_},
-                       {"budget_epoch", budget_epoch_},
+                       {"budget_watts", budget_watts},
+                       {"budget_epoch", budget_.budget_epoch()},
                        {"allocated_watts", round.total_watts},
                        {"bootstrap", all_bootstrap},
                        {"emergency",
@@ -1025,8 +999,8 @@ void PowerDaemon::maybe_write_snapshot() {
     return;
   }
   DaemonSnapshot snapshot;
-  snapshot.system_budget_watts = budget_watts_;
-  snapshot.budget_epoch = budget_epoch_;
+  snapshot.system_budget_watts = budget_.budget_watts();
+  snapshot.budget_epoch = budget_.budget_epoch();
   snapshot.fence_epoch = fence_epoch_;
   snapshot.launch_barrier_met = launch_barrier_met_;
   {
@@ -1055,7 +1029,7 @@ void PowerDaemon::maybe_write_snapshot() {
       options_.obs.emit(
           snapshot.allocations, obs::cat::kDaemon, "snapshot",
           {{"jobs", static_cast<std::uint64_t>(snapshot.jobs.size())},
-           {"budget_epoch", budget_epoch_}});
+           {"budget_epoch", budget_.budget_epoch()}});
     } catch (const Error&) {
       // Disk trouble must degrade durability, never live coordination.
     }

@@ -21,6 +21,7 @@
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "rm/power_manager.hpp"
 
 namespace ps::net {
 
@@ -314,13 +315,19 @@ class PowerDaemon {
   void try_allocate();
   void allocate_once();
   void maybe_write_snapshot();
-  void restore_from_snapshot();
   void restore_state(const DaemonSnapshot& snapshot);
   void record_quarantine(const std::string& name, Clock::time_point until);
   void prune_quarantine(Clock::time_point now);
   void on_tick();
   void apply_pending_revisions();
-  void apply_revision(const core::BudgetRevision& revision);
+  /// A revision's consequences once set_budget has ruled on it: stats
+  /// and its "revision" event at `tick`, and, when adopted, the stored
+  /// caps clamped, every client pushed the budget and the state persisted.
+  void on_revision(const core::BudgetRevision& revision, bool adopted,
+                   std::uint64_t tick);
+  /// The budget in force as a BudgetMessage frame, carrying the
+  /// emergency flag of the revision that set it.
+  [[nodiscard]] std::string budget_frame() const;
   void push_budget_to_sessions();
   void clamp_stored_caps();
   /// Rounds completed across incarnations — the "netio" stream's tick.
@@ -342,10 +349,11 @@ class PowerDaemon {
   bool allocate_again_ = false;
   /// The budget currently enforced (options budget until revised, then
   /// the newest adopted revision; a restored snapshot's revised budget
-  /// wins over the configured one).
-  double budget_watts_ = 0.0;
-  std::uint64_t budget_epoch_ = 0;
-  std::size_t next_scheduled_revision_ = 0;
+  /// wins over the configured one). Only its budget and stale-epoch rule
+  /// are used: the daemon programs no hosts itself.
+  rm::SystemPowerManager budget_;
+  bool budget_emergency_ = false;
+  core::RevisionSchedule schedule_;
   /// This incarnation's fencing epoch: the configured one, or a restored
   /// snapshot's if higher. Stamped on every policy and snapshot when > 0.
   std::uint64_t fence_epoch_ = 0;

@@ -41,6 +41,21 @@ bool SystemPowerManager::set_budget(double budget_watts, std::uint64_t epoch) {
   return true;
 }
 
+void SystemPowerManager::program_job(sim::JobSimulation& job,
+                                     std::span<const double> caps,
+                                     std::span<const double> gpu_caps) {
+  PS_REQUIRE(caps.size() == job.host_count(),
+             "allocation has a different number of hosts for a job");
+  PS_REQUIRE(gpu_caps.empty() || gpu_caps.size() == job.host_count(),
+             "GPU allocation has a different number of hosts for a job");
+  for (std::size_t h = 0; h < job.host_count(); ++h) {
+    job.set_host_cap(h, caps[h]);
+    if (!gpu_caps.empty() && job.host(h).gpu_count() > 0) {
+      job.set_host_gpu_cap(h, gpu_caps[h]);
+    }
+  }
+}
+
 void SystemPowerManager::apply(std::span<sim::JobSimulation* const> jobs,
                                const PowerAllocation& allocation,
                                bool enforce_budget) const {
@@ -65,13 +80,8 @@ void SystemPowerManager::apply(std::span<sim::JobSimulation* const> jobs,
                "allocation exceeds the system power budget");
   }
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto& gpu_caps = allocation.job_gpu_caps(j);
-    for (std::size_t h = 0; h < jobs[j]->host_count(); ++h) {
-      jobs[j]->set_host_cap(h, allocation.job_host_caps[j][h]);
-      if (!gpu_caps.empty() && jobs[j]->host(h).gpu_count() > 0) {
-        jobs[j]->set_host_gpu_cap(h, gpu_caps[h]);
-      }
-    }
+    program_job(*jobs[j], allocation.job_host_caps[j],
+                allocation.job_gpu_caps(j));
   }
   if (applies_metric_ != nullptr) {
     applies_metric_->add();

@@ -54,6 +54,13 @@ class SystemPowerManager {
              const PowerAllocation& allocation,
              bool enforce_budget = true) const;
 
+  /// Programs one job's caps: one CPU cap per host, and either no GPU
+  /// caps or one per host (written on the hosts that carry a GPU). The
+  /// per-job write apply() makes; a job runtime programs a reply with it.
+  static void program_job(sim::JobSimulation& job,
+                          std::span<const double> caps,
+                          std::span<const double> gpu_caps);
+
   /// Accounts `elapsed_seconds` of running with `programmed_watts`
   /// total caps against the current budget, opening/extending an
   /// excursion when above budget + tolerance and closing it when back

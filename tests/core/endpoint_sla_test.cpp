@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "core/coordination.hpp"
 #include "core/endpoint.hpp"
 #include "sim/cluster.hpp"
 #include "sim/sla.hpp"
@@ -82,7 +83,7 @@ TEST(EndpointSlaTest, MakeSampleAndContextCarryTheClass) {
   sim::JobSimulation job("be-job", {&cluster.node(0), &cluster.node(1)},
                          kernel::WorkloadConfig{});
   job.set_sla_class(sim::SlaClass::kBestEffort);
-  const SampleMessage sample = make_sample(job, 1);
+  const SampleMessage sample = JobStep(job, {}).sample(1);
   EXPECT_EQ(sample.sla_class, sim::SlaClass::kBestEffort);
   const PolicyContext context = context_from_samples(
       1000.0, cluster.node(0).tdp(), cluster.node(0).params().dram_watts,

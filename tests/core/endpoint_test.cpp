@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/coordination.hpp"
 #include "core/policies.hpp"
 #include "sim/cluster.hpp"
 #include "util/error.hpp"
@@ -109,9 +110,14 @@ TEST(EndpointTest, ProtocolCarriesTheFullCoordinationExchange) {
   sim::JobSimulation job_a("wasteful", a, wasteful);
   sim::JobSimulation job_b("hungry", b, hungry);
 
+  JobStep step_a(job_a, {});
+  JobStep step_b(job_b, {});
+  IterationTotals totals;
+  step_a.run_epoch(1, totals);
+  step_b.run_epoch(1, totals);
   Endpoint endpoint;
-  endpoint.post_sample(make_sample(job_a, 1));
-  endpoint.post_sample(make_sample(job_b, 1));
+  endpoint.post_sample(step_a.sample(1));
+  endpoint.post_sample(step_b.sample(1));
 
   // RM side: receives samples off the wire, allocates, replies.
   std::vector<SampleMessage> samples;

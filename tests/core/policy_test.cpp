@@ -37,6 +37,20 @@ TEST(PolicyRegistryTest, AwarenessMatrixMatchesPaper) {
       make_policy(PolicyKind::kMixedAdaptive)->is_application_aware());
 }
 
+TEST(PolicyRegistryTest, ParsesEveryKindByNameIgnoringCase) {
+  const PolicyKind kinds[] = {
+      PolicyKind::kPrecharacterized, PolicyKind::kStaticCaps,
+      PolicyKind::kMinimizeWaste,    PolicyKind::kJobAdaptive,
+      PolicyKind::kMixedAdaptive,    PolicyKind::kHeteroAdaptive};
+  for (PolicyKind kind : kinds) {
+    EXPECT_EQ(parse_policy_kind(to_string(kind)), kind) << to_string(kind);
+  }
+  EXPECT_EQ(parse_policy_kind("heteroadaptive"), PolicyKind::kHeteroAdaptive);
+  EXPECT_EQ(parse_policy_kind("MIXEDADAPTIVE"), PolicyKind::kMixedAdaptive);
+  EXPECT_EQ(parse_policy_kind("NoSuchPolicy"), std::nullopt);
+  EXPECT_EQ(parse_policy_kind(""), std::nullopt);
+}
+
 TEST(PrecharacterizedTest, CapsEachJobAtItsHungriestNode) {
   const PolicyContext context = make_context(
       1000.0, {make_job(2, 214.0, 190.0), make_job(2, 228.0, 220.0)});

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/coordination.hpp"
+#include "obs/trace.hpp"
 #include "sim/cluster.hpp"
 #include "sim/job_sim.hpp"
 #include "util/error.hpp"
@@ -27,6 +31,28 @@ kernel::WorkloadConfig hungry_config() {
   kernel::WorkloadConfig config;
   config.intensity = 32.0;
   return config;
+}
+
+kernel::WorkloadConfig gpu_heavy_config() {
+  kernel::WorkloadConfig config;
+  config.intensity = 4.0;
+  config.gigabytes_per_iteration = 1.0;
+  config.gpu_gigabytes_per_iteration = 60.0;
+  config.gpu_intensity = 40.0;
+  return config;
+}
+
+/// FNV-1a over the JSONL form of every traced event: caps at exact
+/// numeric fidelity, so any changed bit changes the digest.
+std::uint64_t trace_digest(const obs::TraceSink& sink) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const obs::TraceEvent& event : sink.events()) {
+    for (const char c : obs::to_jsonl(event) + "\n") {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
 }
 
 TEST(FailurePlanTest, SameParamsReplayTheSamePlan) {
@@ -172,7 +198,7 @@ TEST(CoordinationFailureTest, NodeFailureReclaimsWattsToSurvivors) {
   core::CoordinationLoop loop(budget);
   core::FailureTelemetry telemetry;
   const core::CoordinationResult result =
-      loop.run_with_failures(jobs, 30, events, &telemetry);
+      loop.run_dynamic(jobs, 30, events, {}, &telemetry);
 
   EXPECT_EQ(telemetry.events_applied, 1u);
   EXPECT_TRUE(telemetry.budget_violation_epochs.empty());
@@ -216,7 +242,7 @@ TEST(CoordinationFailureTest, StragglerStretchesEpochsUntilRecovery) {
   core::CoordinationLoop loop(2.0 * 180.0);
   core::FailureTelemetry telemetry;
   const core::CoordinationResult result =
-      loop.run_with_failures(jobs, 25, events, &telemetry);
+      loop.run_dynamic(jobs, 25, events, {}, &telemetry);
 
   EXPECT_EQ(telemetry.events_applied, 2u);
   ASSERT_GE(result.epochs.size(), 5u);
@@ -251,7 +277,7 @@ TEST(CoordinationFailureTest, EventlessRunMatchesPlainRun) {
   core::CoordinationLoop with_failures(720.0);
   core::FailureTelemetry telemetry;
   static_cast<void>(
-      with_failures.run_with_failures(failure_jobs, 15, {}, &telemetry));
+      with_failures.run_dynamic(failure_jobs, 15, {}, {}, &telemetry));
 
   EXPECT_EQ(telemetry.events_applied, 0u);
   EXPECT_TRUE(telemetry.reclaims.empty());
@@ -271,13 +297,110 @@ TEST(CoordinationFailureTest, RejectsOutOfRangeEvents) {
   std::vector<FailureEvent> bad_job(1);
   bad_job[0].job = 5;
   EXPECT_THROW(
-      static_cast<void>(loop.run_with_failures(jobs, 10, bad_job, nullptr)),
+      static_cast<void>(loop.run_dynamic(jobs, 10, bad_job, {}, nullptr)),
       Error);
   std::vector<FailureEvent> bad_host(1);
   bad_host[0].host = 9;
   EXPECT_THROW(static_cast<void>(
-                   loop.run_with_failures(jobs, 10, bad_host, nullptr)),
+                   loop.run_dynamic(jobs, 10, bad_host, {}, nullptr)),
                Error);
+}
+
+/// The "coord" trace digest of a 4-job CPU mix (wasteful and hungry
+/// jobs alternating) with two node failures and a straggler.
+std::uint64_t cpu_mix_failure_digest(core::PolicyKind policy) {
+  Cluster cluster(16);
+  std::vector<std::unique_ptr<JobSimulation>> owned;
+  std::vector<JobSimulation*> jobs;
+  for (std::size_t j = 0; j < 4; ++j) {
+    std::vector<hw::NodeModel*> hosts;
+    for (std::size_t h = 0; h < 4; ++h) {
+      hosts.push_back(&cluster.node(4 * j + h));
+    }
+    owned.push_back(std::make_unique<JobSimulation>(
+        std::string(1, static_cast<char>('a' + j)), std::move(hosts),
+        j % 2 == 0 ? wasteful_config() : hungry_config()));
+    jobs.push_back(owned.back().get());
+  }
+  const std::vector<FailureEvent> events = {
+      {.epoch = 1, .kind = FailureKind::kNodeFailure, .job = 0, .host = 1},
+      {.epoch = 2, .kind = FailureKind::kStragglerOnset, .job = 1,
+       .host = 0, .severity = 1.5},
+      {.epoch = 3, .kind = FailureKind::kNodeFailure, .job = 3, .host = 2},
+      {.epoch = 5, .kind = FailureKind::kStragglerRecovery, .job = 1,
+       .host = 0}};
+  obs::TraceSink sink;
+  core::CoordinationOptions options;
+  options.policy = policy;
+  options.obs.trace = &sink;
+  core::CoordinationLoop loop(16.0 * 200.0, options);
+  static_cast<void>(loop.run_dynamic(jobs, 40, events, {}));
+  return trace_digest(sink);
+}
+
+/// Failure runs program pinned bits: the CPU mix under MixedAdaptive and
+/// under MinimizeWaste (which funds hosts by their observed demand, so a
+/// failed host's ratchet reaches its caps), and a GPU-domain node
+/// failure under a brownout. A failed host's demand ratchets are pinned
+/// at its floors when its job samples, so the caps every epoch are those
+/// of a loop that also reset them when the failure struck; the digests
+/// were recorded from such a loop.
+TEST(CoordinationFailureTest, FailureRunCapsArePinnedBitForBit) {
+  EXPECT_EQ(cpu_mix_failure_digest(core::PolicyKind::kMixedAdaptive),
+            0x2636339b872e9d08ULL);
+  EXPECT_EQ(cpu_mix_failure_digest(core::PolicyKind::kMinimizeWaste),
+            0x6a6001ccd33bbdd3ULL);
+  Cluster cluster(8);
+  std::vector<hw::NodeModel*> a;
+  std::vector<hw::NodeModel*> b;
+  for (std::size_t h = 0; h < 4; ++h) {
+    cluster.node(h).attach_gpu();
+    cluster.node(h + 4).attach_gpu();
+    a.push_back(&cluster.node(h));
+    b.push_back(&cluster.node(h + 4));
+  }
+  JobSimulation job_a("a-gpu", std::move(a), gpu_heavy_config());
+  JobSimulation job_b("b-gpu", std::move(b), gpu_heavy_config());
+  std::vector<JobSimulation*> jobs{&job_a, &job_b};
+  const std::vector<FailureEvent> events = {
+      {.epoch = 2, .kind = FailureKind::kNodeFailure, .job = 0, .host = 2}};
+  const std::vector<core::BudgetRevision> schedule = {
+      {.epoch = 1, .budget_watts = 0.8 * 8.0 * 370.0, .at_epoch = 3}};
+  obs::TraceSink sink;
+  core::CoordinationOptions options;
+  options.policy = core::PolicyKind::kHeteroAdaptive;
+  options.obs.trace = &sink;
+  core::CoordinationLoop loop(8.0 * 370.0, options);
+  static_cast<void>(loop.run_dynamic(jobs, 30, events, schedule));
+  EXPECT_EQ(trace_digest(sink), 0x4cfcc8bab3141124ULL);
+}
+
+/// A job's sample after one of its hosts fails reports that host at its
+/// floors in both domains: needed and observed demand alike, though the
+/// host drew well above them before it died.
+TEST(CoordinationFailureTest, FailedHostSamplesAtItsFloors) {
+  Cluster cluster(2);
+  cluster.node(0).attach_gpu();
+  cluster.node(1).attach_gpu();
+  JobSimulation job("gpu", {&cluster.node(0), &cluster.node(1)},
+                    gpu_heavy_config());
+  core::JobStep step(job, {});
+  core::IterationTotals totals;
+  step.run_epoch(2, totals);
+  const core::SampleMessage before = step.sample(1);
+  ASSERT_EQ(before.host_gpu_observed_watts.size(), 2u);
+  EXPECT_GT(before.host_observed_watts[1], job.host(1).min_cap());
+  EXPECT_GT(before.host_gpu_observed_watts[1], job.host_gpu_min_cap(1));
+
+  job.set_host_failed(1, true);
+  const core::SampleMessage after = step.sample(2);
+  EXPECT_EQ(after.host_observed_watts[1], job.host(1).min_cap());
+  EXPECT_EQ(after.host_needed_watts[1], job.host(1).min_cap());
+  EXPECT_EQ(after.host_gpu_observed_watts[1], job.host_gpu_min_cap(1));
+  EXPECT_EQ(after.host_gpu_needed_watts[1], job.host_gpu_min_cap(1));
+  EXPECT_EQ(after.host_observed_watts[0], before.host_observed_watts[0]);
+  EXPECT_EQ(after.host_gpu_observed_watts[0],
+            before.host_gpu_observed_watts[0]);
 }
 
 }  // namespace

@@ -260,15 +260,6 @@ net::RuntimeClient::TransportConnector endpoint_connector(
   };
 }
 
-std::optional<core::PolicyKind> parse_policy(std::string_view name) {
-  for (core::PolicyKind kind : core::all_policy_kinds()) {
-    if (util::iequals(name, core::to_string(kind))) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
 std::optional<core::MixKind> parse_mix(std::string_view name) {
   for (core::MixKind kind : core::all_mix_kinds()) {
     if (util::iequals(name, core::to_string(kind))) {
@@ -407,7 +398,7 @@ int cmd_balance(const Args& args) {
 }
 
 int cmd_facility(const Args& args) {
-  const auto policy = parse_policy(args.policy);
+  const auto policy = core::parse_policy_kind(args.policy);
   if (!policy) {
     std::fprintf(stderr, "unknown policy '%s'\n", args.policy.c_str());
     return 2;
@@ -465,7 +456,7 @@ int cmd_facility(const Args& args) {
 }
 
 int cmd_daemon(const Args& args) {
-  const auto policy = parse_policy(args.policy);
+  const auto policy = core::parse_policy_kind(args.policy);
   if (!policy) {
     std::fprintf(stderr, "unknown policy '%s'\n", args.policy.c_str());
     return 2;
