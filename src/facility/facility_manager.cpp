@@ -244,14 +244,11 @@ FacilityManager::FacilityManager(sim::Cluster& cluster,
   }
 }
 
-double FacilityManager::head_shadow_hours(
-    std::span<const FacilityJobSpec> trace, double now_hours) const {
+double FacilityManager::head_shadow_hours(std::size_t head_nodes,
+                                          std::size_t free_nodes,
+                                          double now_hours) const {
   // Earliest time the head-of-queue job could start: free nodes grow as
   // running jobs reach their expected completions.
-  const rm::JobRequest* head = scheduler_.queued_head();
-  if (head == nullptr) {
-    return now_hours;
-  }
   std::vector<std::pair<double, std::size_t>> completions;
   completions.reserve(running_.size());
   for (const RunningJob& job : running_) {
@@ -264,52 +261,54 @@ double FacilityManager::head_shadow_hours(
                              job.simulation->host_count());
   }
   std::sort(completions.begin(), completions.end());
-  std::size_t free_nodes = scheduler_.free_node_count();
   for (const auto& [finish_hours, nodes] : completions) {
-    if (free_nodes >= head->node_count) {
+    if (free_nodes >= head_nodes) {
       break;
     }
     free_nodes += nodes;
-    if (free_nodes >= head->node_count) {
+    if (free_nodes >= head_nodes) {
       return finish_hours;
     }
   }
-  static_cast<void>(trace);
-  return free_nodes >= head->node_count
-             ? now_hours
-             : std::numeric_limits<double>::infinity();
+  return free_nodes >= head_nodes ? now_hours
+                                  : std::numeric_limits<double>::infinity();
 }
 
 void FacilityManager::start_pending_jobs(
     std::span<const FacilityJobSpec> trace, double now_hours,
     FacilityResult& result) {
   std::function<bool(const rm::JobRequest&)> backfill_ok;
+  // The EASY shadow is the head's reservation as the queue stands before
+  // the FIFO phase: the head's width and the free nodes are taken now,
+  // the shadow itself only when backfill first asks (most steps never
+  // do). Nothing it reads from running_ changes while the scheduler runs.
+  std::optional<double> shadow;
   if (options_.backfill) {
-    const double shadow = head_shadow_hours(trace, now_hours);
-    backfill_ok = [&trace, now_hours, shadow](const rm::JobRequest& job) {
-      for (const FacilityJobSpec& spec : trace) {
-        if (spec.request.name == job.name) {
-          // EASY condition: the backfilled job's estimated completion
-          // must not cross the head's reservation.
-          return now_hours + spec.estimated_hours <= shadow + 1e-9;
-        }
+    const rm::JobRequest* head = scheduler_.queued_head();
+    const std::size_t head_nodes = head == nullptr ? 0 : head->node_count;
+    const std::size_t free_nodes = scheduler_.free_node_count();
+    backfill_ok = [this, &trace, &shadow, head_nodes, free_nodes,
+                   now_hours](const rm::JobRequest& job) {
+      const auto found = trace_index_.find(job.name);
+      if (found == trace_index_.end()) {
+        return false;
       }
-      return false;
+      if (!shadow.has_value()) {
+        shadow = head_shadow_hours(head_nodes, free_nodes, now_hours);
+      }
+      // EASY condition: the backfilled job's estimated completion must
+      // not cross the head's reservation.
+      return now_hours + trace[found->second].estimated_hours <=
+             *shadow + 1e-9;
     };
   }
   const std::vector<rm::NodeGrant> grants =
       scheduler_.start_pending(backfill_ok);
   for (const auto& grant : grants) {
-    // Locate the trace entry by name (the scheduler queue is FIFO over
-    // submissions, so this is unique).
-    std::size_t index = trace.size();
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      if (trace[i].request.name == grant.job_name) {
-        index = i;
-        break;
-      }
-    }
-    PS_CHECK_STATE(index < trace.size(), "grant without a trace entry");
+    const auto found = trace_index_.find(grant.job_name);
+    PS_CHECK_STATE(found != trace_index_.end(),
+                   "grant without a trace entry");
+    const std::size_t index = found->second;
 
     RunningJob job;
     job.trace_index = index;
@@ -331,6 +330,7 @@ void FacilityManager::start_pending_jobs(
     job.simulation->set_sla_class(trace[index].request.sla_class);
     job.characterization = runtime::characterize_job(
         *job.simulation, options_.characterization_iterations);
+    ++counts_.characterizations;
     job.characterization.sla_class = trace[index].request.sla_class;
     job.simulation->reset_totals();
     running_.push_back(std::move(job));
@@ -346,13 +346,11 @@ void FacilityManager::start_pending_jobs(
 
 void FacilityManager::rebuild_round_inputs() {
   context_.jobs.clear();
-  round_jobs_.clear();
   round_limits_.clear();
   for (const auto& job : running_) {
     // Each job's envelope, from its characterization.
     const runtime::JobCharacterization& data = job.characterization;
     context_.jobs.push_back(data);
-    round_jobs_.push_back(job.simulation.get());
     round_limits_.push_back(
         {.hosts = data.host_count,
          .floor_watts = data.min_settable_cap_watts,
@@ -387,19 +385,79 @@ void FacilityManager::reallocate_power() {
   if (round.verdict == core::RoundVerdict::kClamp) {
     ++emergency_clamps_;
   }
-  power_manager_.apply(round_jobs_, round.caps, /*enforce_budget=*/false);
-  programmed_watts_ = 0.0;
-  for (const sim::JobSimulation* job : round_jobs_) {
-    for (std::size_t h = 0; h < job->host_count(); ++h) {
-      programmed_watts_ += job->host_cap(h);
-    }
-  }
+  program_round(round.caps);
   if (round.shed_watts > 0.0 && options_.obs.metrics != nullptr) {
     options_.obs.metrics->histogram("facility.shed_watts", kShedBounds)
         .observe(round.shed_watts);
   }
   shed_watts_total_ += round.shed_watts;
-  refresh_profiles();
+}
+
+void FacilityManager::program_round(const rm::PowerAllocation& caps) {
+  PS_REQUIRE(caps.job_host_caps.size() == running_.size(),
+             "allocation has a different number of jobs");
+  PS_REQUIRE(caps.job_host_gpu_caps.empty() ||
+                 caps.job_host_gpu_caps.size() == running_.size(),
+             "GPU allocation has a different number of jobs");
+  for (std::size_t j = 0; j < running_.size(); ++j) {
+    const std::size_t hosts = running_[j].simulation->host_count();
+    PS_REQUIRE(caps.job_host_caps[j].size() == hosts,
+               "allocation has a different number of hosts for a job");
+    const std::size_t gpu_caps = caps.job_gpu_caps(j).size();
+    PS_REQUIRE(gpu_caps == 0 || gpu_caps == hosts,
+               "GPU allocation has a different number of hosts for a job");
+  }
+  programmed_watts_ = 0.0;
+  std::vector<double> read_back;
+  for (std::size_t j = 0; j < running_.size(); ++j) {
+    RunningJob& job = running_[j];
+    sim::JobSimulation& simulation = *job.simulation;
+    const std::span<const double> cpu = caps.job_host_caps[j];
+    const std::span<const double> gpu = caps.job_gpu_caps(j);
+    // Every reallocation credits the job one iteration of progress.
+    job.iterations_done += 1.0;
+    const std::span<const double> held = job.programmed_caps;
+    const bool unmoved =
+        held.size() == cpu.size() + gpu.size() &&
+        std::ranges::equal(cpu, held.first(cpu.size())) &&
+        std::ranges::equal(gpu, held.subspan(cpu.size()));
+    if (unmoved) {
+      ++counts_.jobs_unmoved;
+    } else {
+      ++counts_.jobs_programmed;
+      rm::SystemPowerManager::program_job(simulation, cpu, gpu);
+      job.programmed_caps.assign(cpu.begin(), cpu.end());
+      job.programmed_caps.insert(job.programmed_caps.end(), gpu.begin(),
+                                 gpu.end());
+      // One probe iteration under the new caps yields the steady-state
+      // per-iteration time and power. The simulation is deterministic and
+      // its caps are programmed only here (a node cap fixes the package
+      // limits), so caps that read back as the last probe's would measure
+      // the same profile again: the job keeps the one it has.
+      read_back.clear();
+      for (std::size_t h = 0; h < simulation.host_count(); ++h) {
+        read_back.push_back(simulation.host_cap(h));
+      }
+      if (simulation.has_gpu_domain()) {
+        for (std::size_t h = 0; h < simulation.host_count(); ++h) {
+          read_back.push_back(simulation.host_gpu_cap(h));
+        }
+      }
+      if (read_back != job.probed_caps) {
+        job.probed_caps.swap(read_back);
+        const sim::IterationResult probe = simulation.run_iteration();
+        ++counts_.probes;
+        job.iteration_seconds = probe.iteration_seconds;
+        job.power_watts = probe.average_node_power_watts *
+                          static_cast<double>(simulation.host_count());
+      }
+    }
+    // The node caps read back after the job's last write, summed in job
+    // and host order.
+    for (std::size_t h = 0; h < simulation.host_count(); ++h) {
+      programmed_watts_ += job.probed_caps[h];
+    }
+  }
 }
 
 void FacilityManager::observe_budget_signal(std::size_t step,
@@ -424,42 +482,9 @@ void FacilityManager::observe_budget_signal(std::size_t step,
   reallocate_power();
 }
 
-void FacilityManager::refresh_profiles() {
-  std::vector<double> caps;
-  for (auto& job : running_) {
-    // Every reallocation credits the job one iteration of progress.
-    job.iterations_done += 1.0;
-    // One probe iteration under the current caps yields the steady-state
-    // per-iteration time and power. The simulation is deterministic and
-    // its caps are programmed only through set_host_cap (a node cap fixes
-    // the package limits), so a job whose caps equal its last probe's
-    // would measure the same profile again: it keeps the one it has.
-    const sim::JobSimulation& simulation = *job.simulation;
-    caps.clear();
-    for (std::size_t h = 0; h < simulation.host_count(); ++h) {
-      caps.push_back(simulation.host_cap(h));
-    }
-    if (simulation.has_gpu_domain()) {
-      for (std::size_t h = 0; h < simulation.host_count(); ++h) {
-        caps.push_back(simulation.host_gpu_cap(h));
-      }
-    }
-    if (caps == job.probed_caps) {
-      continue;
-    }
-    job.probed_caps.swap(caps);
-    const sim::IterationResult probe = job.simulation->run_iteration();
-    job.iteration_seconds = probe.iteration_seconds;
-    job.power_watts =
-        probe.average_node_power_watts *
-        static_cast<double>(job.simulation->host_count());
-  }
-}
-
 bool FacilityManager::process_failures(
     std::span<const FacilityJobSpec> trace, double now_hours,
     FacilityResult& result) {
-  static_cast<void>(trace);
   bool changed = false;
 
   // Finished repairs first: the node rejoins the pool.
@@ -522,8 +547,11 @@ FacilityResult FacilityManager::run(
   result.step_hours = options_.step_hours;
   emergency_clamps_ = 0;
   shed_watts_total_ = 0.0;
+  counts_ = {};
+  trace_index_.clear();
   result.jobs.resize(trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace_index_.try_emplace(trace[i].request.name, i);
     result.jobs[i].name = trace[i].request.name;
     result.jobs[i].arrival_hours = trace[i].arrival_hours;
     result.jobs[i].sla_class = trace[i].request.sla_class;
@@ -626,6 +654,11 @@ FacilityResult FacilityManager::run(
   result.final_budget_epoch = power_manager_.budget_epoch();
   result.excursions = power_manager_.excursions();
   result.shed_watts_total = shed_watts_total_;
+  options_.obs.count("facility.jobs_programmed", counts_.jobs_programmed);
+  options_.obs.count("facility.jobs_unmoved", counts_.jobs_unmoved);
+  options_.obs.count("facility.probes", counts_.probes);
+  options_.obs.count("facility.characterizations",
+                     counts_.characterizations);
 
   // SLA accounting: a job violates its class SLA when its end-to-end
   // slowdown vs the uncapped ideal exceeds the class tolerance, when the

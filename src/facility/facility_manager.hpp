@@ -7,6 +7,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/budget_governor.hpp"
@@ -220,23 +221,34 @@ class FacilityManager {
     // re-allocation whose caps differ from the last probe's).
     double iteration_seconds = 0.0;
     double power_watts = 0.0;
-    /// Caps in force at the last probe: each host's node cap, then each
-    /// host's GPU cap on a GPU-domain job. Empty before the first probe.
+    /// The round caps last programmed on the job: the CPU row, then the
+    /// GPU row when the round had one. Empty before the first round.
+    std::vector<double> programmed_caps;
+    /// Caps read back from the hosts after that write, which the last
+    /// probe measured under: each host's node cap, then each host's GPU
+    /// cap on a GPU-domain job. Empty before the first round.
     std::vector<double> probed_caps;
   };
 
-  /// Earliest time the head-of-queue job could start, from the running
-  /// jobs' expected completions (the EASY "shadow" reservation).
-  [[nodiscard]] double head_shadow_hours(
-      std::span<const FacilityJobSpec> trace, double now_hours) const;
+  /// Earliest time a head-of-queue job `head_nodes` wide could start with
+  /// `free_nodes` free now, from the running jobs' expected completions
+  /// (the EASY "shadow" reservation).
+  [[nodiscard]] double head_shadow_hours(std::size_t head_nodes,
+                                         std::size_t free_nodes,
+                                         double now_hours) const;
 
   void start_pending_jobs(std::span<const FacilityJobSpec> trace,
                           double now_hours, FacilityResult& result);
   void reallocate_power();
-  void refresh_profiles();
-  /// Rebuilds the policy context's per-job entries, the job limits and
-  /// the simulations to program from running_ (after a start, a finish
-  /// or a failure changed the job set).
+  /// Programs the round's caps on the jobs whose caps moved, credits
+  /// every job the reallocation's iteration, probes a programmed job
+  /// whose read-back caps moved, and sums the programmed watts. A job
+  /// handed the caps it holds is left alone: rewriting the same caps
+  /// would leave every register and memo as it is.
+  void program_round(const rm::PowerAllocation& caps);
+  /// Rebuilds the policy context's per-job entries and the job limits
+  /// from running_ (after a start, a finish or a failure changed the job
+  /// set).
   void rebuild_round_inputs();
 
   /// Observes the budget signal for `step` and adopts the governor's
@@ -249,6 +261,16 @@ class FacilityManager {
   /// set changed.
   bool process_failures(std::span<const FacilityJobSpec> trace,
                         double now_hours, FacilityResult& result);
+
+  /// Work counts of the current run(), reported through options_.obs at
+  /// its end: rounds that (re)programmed a job, rounds that left it as it
+  /// was, probe iterations and job-start characterizations.
+  struct LayerCounts {
+    std::uint64_t jobs_programmed = 0;
+    std::uint64_t jobs_unmoved = 0;
+    std::uint64_t probes = 0;
+    std::uint64_t characterizations = 0;
+  };
 
   sim::Cluster* cluster_;
   FacilityOptions options_;
@@ -267,12 +289,15 @@ class FacilityManager {
   /// when running_ changes (round_inputs_stale_); each round sets just
   /// the budget.
   core::PolicyContext context_;
-  std::vector<sim::JobSimulation*> round_jobs_;
   std::vector<core::JobLimits> round_limits_;
   bool round_inputs_stale_ = true;
-  /// Sum of the caps programmed on the running jobs' hosts, taken when
-  /// the last reallocation programmed them (caps change nowhere else).
+  /// Sum of the caps programmed on the running jobs' hosts, taken from
+  /// their read-backs when the last reallocation programmed them (caps
+  /// change nowhere else).
   double programmed_watts_ = 0.0;
+  LayerCounts counts_;
+  /// Trace index of each job name (its first entry), built by run().
+  std::unordered_map<std::string, std::size_t> trace_index_;
   util::Rng failure_rng_{0xfa11};
   std::vector<std::pair<double, std::size_t>> repairs_;
   /// Checkpointed progress (iterations) by trace index, surviving the

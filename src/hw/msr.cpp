@@ -130,6 +130,14 @@ std::uint64_t MsrFile::hw_load(std::uint32_t address) const noexcept {
   return reg == nullptr ? 0 : reg->value;
 }
 
+std::size_t MsrFile::hw_slot(std::uint32_t address) {
+  if (const Register* reg = find(address)) {
+    return static_cast<std::size_t>(reg - registers_.data());
+  }
+  registers_.push_back({address, false, 0, 0});
+  return registers_.size() - 1;
+}
+
 bool MsrFile::is_readable(std::uint32_t address) const noexcept {
   const Register* reg = find(address);
   return reg != nullptr && reg->listed;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -62,6 +63,18 @@ class MsrFile {
   /// allowlist) — e.g. the package updating its own energy counter.
   void hw_store(std::uint32_t address, std::uint64_t value);
   [[nodiscard]] std::uint64_t hw_load(std::uint32_t address) const noexcept;
+
+  /// The backdoor by slot, for a register the hardware model touches on
+  /// every step: hw_slot finds the register once (creating it as hw_store
+  /// would), and the slot then names it for the file's life and in every
+  /// copy of the file, since registers are only ever appended.
+  [[nodiscard]] std::size_t hw_slot(std::uint32_t address);
+  [[nodiscard]] std::uint64_t hw_load_slot(std::size_t slot) const noexcept {
+    return registers_[slot].value;
+  }
+  void hw_store_slot(std::size_t slot, std::uint64_t value) noexcept {
+    registers_[slot].value = value;
+  }
 
   [[nodiscard]] bool is_readable(std::uint32_t address) const noexcept;
   [[nodiscard]] bool is_writable(std::uint32_t address) const noexcept;

@@ -200,7 +200,7 @@ PhaseResult NodeModel::run_compute(double gigabytes, double intensity,
   return result;
 }
 
-PhaseResult NodeModel::run_poll(double seconds) {
+PhaseResult NodeModel::run_poll(double seconds, const NodeModel* twin) {
   PS_REQUIRE(seconds >= 0.0, "poll duration cannot be negative");
   // The poll solution depends only on the limits; key and memoize it
   // like compute_solution so barrier-heavy iterations stay cheap.
@@ -210,16 +210,21 @@ PhaseResult NodeModel::run_poll(double seconds) {
   }
   key.frequency_cap_ghz = frequency_cap_ghz_;
   if (!poll_cache_valid_ || !(key == poll_key_)) {
-    poll_cached_ = PhaseResult{};
-    poll_cached_.power_watts = poll_power(power_cap());
-    double slowest = frequency_cap_ghz_;
-    for (std::size_t s = 0; s < packages_.size(); ++s) {
-      slowest = std::min(slowest, power_model_.frequency_at_cap(
-                                      packages_[s].power_limit(),
-                                      params_.activity.poll_activity,
-                                      etas_[s]));
+    if (twin != nullptr && twin != this && twin->poll_cache_valid_ &&
+        twin->poll_key_ == key && same_solver(*twin)) {
+      poll_cached_ = twin->poll_cached_;
+    } else {
+      poll_cached_ = PhaseResult{};
+      poll_cached_.power_watts = poll_power(power_cap());
+      double slowest = frequency_cap_ghz_;
+      for (std::size_t s = 0; s < packages_.size(); ++s) {
+        slowest = std::min(slowest, power_model_.frequency_at_cap(
+                                        packages_[s].power_limit(),
+                                        params_.activity.poll_activity,
+                                        etas_[s]));
+      }
+      poll_cached_.frequency_ghz = slowest;
     }
-    poll_cached_.frequency_ghz = slowest;
     poll_key_ = key;
     poll_cache_valid_ = true;
   }

@@ -120,8 +120,10 @@ class NodeModel {
 
   /// Busy-polls at a barrier for `seconds`, accruing energy. The poll
   /// power/frequency solution is memoized the same way as
-  /// compute_solution() (it depends only on the limits).
-  PhaseResult run_poll(double seconds);
+  /// compute_solution() (it depends only on the limits), and on a memo
+  /// miss a `twin` whose poll memo holds this node's live key, with
+  /// same_solver(*twin), lends its solution exactly as there.
+  PhaseResult run_poll(double seconds, const NodeModel* twin = nullptr);
 
   /// DVFS control: an upper bound on the core frequency, independent of
   /// the RAPL limits (the OS cpufreq / P-state interface). The effective

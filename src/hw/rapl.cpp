@@ -37,8 +37,10 @@ RaplPackageDomain::RaplPackageDomain(double tdp_watts, double min_watts)
   // 2^-exponent, the power exponent in bits 3:0, the energy one in 12:8.
   const std::uint64_t units = msrs_.hw_load(msr::kRaplPowerUnit);
   power_unit_watts_ = 1.0 / static_cast<double>(1ULL << (units & 0xf));
-  energy_unit_joules_ =
-      1.0 / static_cast<double>(1ULL << ((units >> 8) & 0x1f));
+  lsb_per_joule_ = static_cast<double>(1ULL << ((units >> 8) & 0x1f));
+  energy_unit_joules_ = 1.0 / lsb_per_joule_;
+  limit_slot_ = msrs_.hw_slot(msr::kPkgPowerLimit);
+  energy_slot_ = msrs_.hw_slot(msr::kPkgEnergyStatus);
   const std::uint64_t info =
       encode_power(tdp_watts_, power_unit_watts_) |
       (encode_power(min_watts_, power_unit_watts_) << 16);
@@ -57,22 +59,23 @@ double RaplPackageDomain::set_power_limit(double watts) {
 }
 
 double RaplPackageDomain::power_limit() const {
-  const std::uint64_t raw = msrs_.hw_load(msr::kPkgPowerLimit);
+  const std::uint64_t raw = msrs_.hw_load_slot(limit_slot_);
   return static_cast<double>(raw & kPowerLimitFieldMask) * power_unit_watts_;
 }
 
 void RaplPackageDomain::accumulate_energy(double joules) {
   PS_REQUIRE(joules >= 0.0, "energy cannot decrease");
-  fractional_energy_ += joules / energy_unit_joules_;
+  // Scaling by a power of two is exact, so this is joules / unit.
+  fractional_energy_ += joules * lsb_per_joule_;
   const double whole = std::floor(fractional_energy_);
   fractional_energy_ -= whole;
   const auto counter =
-      static_cast<std::uint32_t>(msrs_.hw_load(msr::kPkgEnergyStatus));
+      static_cast<std::uint32_t>(msrs_.hw_load_slot(energy_slot_));
   // 32-bit wrap-around is intentional: real PKG_ENERGY_STATUS wraps.
   const std::uint32_t next =
       counter + static_cast<std::uint32_t>(
                     static_cast<std::uint64_t>(whole) & 0xffffffffULL);
-  msrs_.hw_store(msr::kPkgEnergyStatus, next);
+  msrs_.hw_store_slot(energy_slot_, next);
 }
 
 std::uint32_t RaplPackageDomain::read_energy_counter() const {

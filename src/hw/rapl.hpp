@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "hw/msr.hpp"
@@ -15,8 +16,11 @@ namespace ps::hw {
 ///
 /// The units are fixed at construction: MSR_RAPL_POWER_UNIT is read-only
 /// (write mask 0) and the domain hands out no mutable view of its MSR
-/// file, so the constructor decodes them once and the hot paths
-/// (power_limit, accumulate_energy) touch one register each.
+/// file, so the constructor decodes them once. It also finds the limit
+/// and energy registers once: the hot paths (power_limit,
+/// accumulate_energy) reach them by slot, with no search, and accrue
+/// energy by multiplying by 2^k rather than dividing by the 2^-k unit
+/// (the same double for every finite input).
 class RaplPackageDomain {
  public:
   /// `tdp_watts` populates PKG_POWER_INFO's thermal spec power field;
@@ -55,6 +59,11 @@ class RaplPackageDomain {
     return power_unit_watts_;
   }
 
+  /// Accrued energy not yet in the counter, in counter LSBs ([0, 1)).
+  [[nodiscard]] double fractional_energy_lsb() const noexcept {
+    return fractional_energy_;
+  }
+
   /// Read-only view of the registers (software reads through msr-safe).
   [[nodiscard]] const MsrFile& msr_file() const noexcept { return msrs_; }
 
@@ -64,6 +73,9 @@ class RaplPackageDomain {
   MsrFile msrs_;
   double power_unit_watts_ = 0.0;    ///< Decoded from MSR_RAPL_POWER_UNIT.
   double energy_unit_joules_ = 0.0;  ///< Decoded from MSR_RAPL_POWER_UNIT.
+  double lsb_per_joule_ = 0.0;       ///< 1 / energy_unit_joules_, exact.
+  std::size_t limit_slot_ = 0;       ///< MSR_PKG_POWER_LIMIT's slot.
+  std::size_t energy_slot_ = 0;      ///< MSR_PKG_ENERGY_STATUS's slot.
   double fractional_energy_ = 0.0;  ///< Sub-LSB residue awaiting the counter.
   std::uint32_t last_counter_ = 0;
   double unwrapped_joules_ = 0.0;

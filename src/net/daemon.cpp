@@ -107,8 +107,10 @@ void PowerDaemon::restore_state(const DaemonSnapshot& snapshot) {
     // The budget was renegotiated before the crash. The snapshot is the
     // authority: restoring the configured budget would resurrect a
     // pre-brownout envelope the clients already heard revoked.
-    static_cast<void>(budget_.set_budget(snapshot.system_budget_watts,
-                                         snapshot.budget_epoch));
+    if (budget_.set_budget(snapshot.system_budget_watts,
+                           snapshot.budget_epoch)) {
+      budget_emergency_ = snapshot.budget_emergency;
+    }
     // Scheduled revisions the previous incarnation already adopted must
     // not replay (their epochs are not newer).
     schedule_.skip_adopted(budget_.budget_epoch());
@@ -1001,6 +1003,7 @@ void PowerDaemon::maybe_write_snapshot() {
   DaemonSnapshot snapshot;
   snapshot.system_budget_watts = budget_.budget_watts();
   snapshot.budget_epoch = budget_.budget_epoch();
+  snapshot.budget_emergency = budget_emergency_;
   snapshot.fence_epoch = fence_epoch_;
   snapshot.launch_barrier_met = launch_barrier_met_;
   {

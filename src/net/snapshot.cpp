@@ -20,6 +20,10 @@ namespace {
 /// GPU caps 1.
 constexpr std::size_t kMinJobBytes = 13;
 
+/// Bits of the flags byte.
+constexpr std::uint8_t kBarrierMet = 1;
+constexpr std::uint8_t kBudgetEmergency = 2;
+
 }  // namespace
 
 double DaemonSnapshot::allocated_watts() const {
@@ -40,7 +44,9 @@ std::string serialize(const DaemonSnapshot& snapshot) {
   out.f64(snapshot.system_budget_watts);
   out.varint(snapshot.budget_epoch);
   out.varint(snapshot.fence_epoch);
-  out.byte(snapshot.launch_barrier_met ? 1 : 0);
+  out.byte(static_cast<std::uint8_t>(
+      (snapshot.launch_barrier_met ? kBarrierMet : 0) |
+      (snapshot.budget_emergency ? kBudgetEmergency : 0)));
   out.varint(snapshot.allocations);
   out.varint(snapshot.jobs.size());
   for (const SnapshotJob& job : snapshot.jobs) {
@@ -61,7 +67,11 @@ DaemonSnapshot parse_snapshot(std::string_view bytes) {
              "snapshot budget must be positive");
   snapshot.budget_epoch = in.varint();
   snapshot.fence_epoch = in.varint();
-  snapshot.launch_barrier_met = in.flag();
+  const std::uint8_t flags = in.byte();
+  PS_REQUIRE((flags & ~(kBarrierMet | kBudgetEmergency)) == 0,
+             "snapshot flags carry an unknown bit");
+  snapshot.launch_barrier_met = (flags & kBarrierMet) != 0;
+  snapshot.budget_emergency = (flags & kBudgetEmergency) != 0;
   snapshot.allocations = in.varint();
   const std::uint64_t job_count = in.count(kMinJobBytes);
   snapshot.jobs.reserve(job_count);

@@ -36,6 +36,10 @@ struct DaemonSnapshot {
   /// is what stops a restarted daemon from resurrecting a pre-brownout
   /// budget: the restored epoch wins over the configured one.
   std::uint64_t budget_epoch = 0;
+  /// Whether the revision at budget_epoch was an emergency one. A
+  /// restored daemon resyncs its clients with it, so they hear the same
+  /// budget message the previous incarnation pushed.
+  bool budget_emergency = false;
   /// Fencing epoch of the daemon incarnation that wrote the snapshot
   /// (0 = a control plane that has never failed over). A standby promotes
   /// at fence + 1; persisting the fence keeps a restart of a promoted
@@ -53,16 +57,17 @@ struct DaemonSnapshot {
 /// Binary serialization in the wire grammar (core/wire.hpp), every field
 /// always present, doubles bit-exact:
 ///
-///   tag 6, f64 budget, varint budget_epoch, varint fence, byte barrier,
-///   varint allocations, varint jobs, then per job: string name,
+///   tag 6, f64 budget, varint budget_epoch, varint fence, byte flags
+///   (bit 0 barrier met, bit 1 budget emergency, no other bit), varint
+///   allocations, varint jobs, then per job: string name,
 ///   varint sequence, f64s caps, f64s gpu_caps (empty = single-domain),
 ///   and last a 4-byte little-endian CRC-32 of every byte before it.
 [[nodiscard]] std::string serialize(const DaemonSnapshot& snapshot);
 
 /// Parses and validates a serialized snapshot. Throws ps::InvalidArgument
 /// on malformed input: a wrong tag (a snapshot file in any older form),
-/// truncated bodies, negative or non-finite watts, a non-positive
-/// budget, jobs without caps or with GPU caps for a different host
+/// truncated bodies, unknown flag bits, negative or non-finite watts, a
+/// non-positive budget, jobs without caps or with GPU caps for a different host
 /// count, duplicated job names, and checksum mismatches (a torn write).
 [[nodiscard]] DaemonSnapshot parse_snapshot(std::string_view bytes);
 

@@ -112,6 +112,17 @@ std::vector<std::size_t> Scheduler::drain_order() const {
   return order;
 }
 
+std::size_t Scheduler::head_position() const noexcept {
+  std::size_t head = 0;
+  for (std::size_t i = 1; i < queue_.size(); ++i) {
+    if (sim::sla_rank(queue_[i].sla_class) >
+        sim::sla_rank(queue_[head].sla_class)) {
+      head = i;
+    }
+  }
+  return head;
+}
+
 double Scheduler::estimated_node_watts() const noexcept {
   if (admission_.basis == AdmissionBasis::kMeasuredDraw && measured_seen_) {
     return measured_node_watts_;
@@ -173,7 +184,7 @@ std::vector<NodeGrant> Scheduler::start_pending(
 
   // FIFO phase: drain the head of the class-major order while it fits.
   while (!queue_.empty()) {
-    const std::size_t head = drain_order().front();
+    const std::size_t head = head_position();
     if (!fits(queue_[head])) {
       break;
     }
@@ -246,7 +257,7 @@ std::size_t Scheduler::free_node_count() const noexcept {
 std::size_t Scheduler::queued_count() const noexcept { return queue_.size(); }
 
 const JobRequest* Scheduler::queued_head() const noexcept {
-  return queue_.empty() ? nullptr : &queue_[drain_order().front()];
+  return queue_.empty() ? nullptr : &queue_[head_position()];
 }
 
 std::size_t Scheduler::running_count() const noexcept {

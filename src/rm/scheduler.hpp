@@ -132,6 +132,11 @@ class Scheduler {
   [[nodiscard]] std::size_t admission_rejections() const noexcept {
     return admission_rejections_;
   }
+  /// Queue positions (submission order among the queued jobs) in drain
+  /// order: class-major (latency_critical first), FIFO within a class.
+  /// Identity for a single-class queue.
+  [[nodiscard]] std::vector<std::size_t> drain_order() const;
+
   /// Watts currently reserved by running jobs against the power gate
   /// (0 under the kNodes basis).
   [[nodiscard]] double reserved_watts() const noexcept {
@@ -141,9 +146,9 @@ class Scheduler {
   [[nodiscard]] double estimated_node_watts() const noexcept;
 
  private:
-  /// Queue indices in drain order: class-major (latency_critical first),
-  /// FIFO within a class. Identity for a single-class queue.
-  [[nodiscard]] std::vector<std::size_t> drain_order() const;
+  /// drain_order().front() of a non-empty queue, found by one scan for
+  /// the first entry of the highest class present.
+  [[nodiscard]] std::size_t head_position() const noexcept;
   /// True when the power gate admits the request right now.
   [[nodiscard]] bool power_fits(const JobRequest& request) const;
   [[nodiscard]] double reservation_for(const JobRequest& request) const;

@@ -238,7 +238,9 @@ IterationResult JobSimulation::run_iteration() {
   // concurrently with the CPU phase. GPU work is uniform across hosts (no
   // imbalance) and split across devices. A host whose kernels outlast its
   // CPU phase busy-polls until they complete, which extends its busy
-  // column before the critical path is taken.
+  // column before the critical path is taken. Each poll here and in pass
+  // 5 offers the previous live host that polled as its solve twin.
+  const hw::NodeModel* poll_twin = nullptr;
   for (std::size_t i = 0; gpu_domain && i < count; ++i) {
     if (failed_[i] || !host_has_gpu_phase(i)) {
       continue;
@@ -262,7 +264,9 @@ IterationResult JobSimulation::run_iteration() {
     host_result.gpu_busy_seconds = gpu_busy;
     host_result.gpu_clock_ghz = gpu_clock;
     if (gpu_busy > soa_busy_[i]) {
-      const hw::PhaseResult wait = node.run_poll(gpu_busy - soa_busy_[i]);
+      const hw::PhaseResult wait =
+          node.run_poll(gpu_busy - soa_busy_[i], poll_twin);
+      poll_twin = &node;
       host_result.energy_joules += wait.energy_joules;
       soa_busy_[i] = gpu_busy;
     }
@@ -293,7 +297,8 @@ IterationResult JobSimulation::run_iteration() {
     host_result.poll_seconds = result.iteration_seconds - busy;
     if (host_result.poll_seconds > 0.0) {
       const hw::PhaseResult poll =
-          hosts_[i]->run_poll(host_result.poll_seconds);
+          hosts_[i]->run_poll(host_result.poll_seconds, poll_twin);
+      poll_twin = hosts_[i];
       host_result.energy_joules += poll.energy_joules;
     }
     if (gpu_domain && host_has_gpu_phase(i)) {

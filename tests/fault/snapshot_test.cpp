@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "core/wire.hpp"
+#include "net/framing.hpp"
 #include "util/error.hpp"
 #include "../wire_bytes.hpp"
 
@@ -168,6 +170,28 @@ TEST(SnapshotTest, CpuOnlySnapshotStaysV2ByteCompatible) {
             "00"                      //   no GPU caps
             "121d3ad9");              // CRC-32 of the bytes before it
   EXPECT_EQ(parse_snapshot(bytes), snapshot);
+}
+
+TEST(SnapshotTest, EmergencyFlagRidesInTheFlagsByte) {
+  DaemonSnapshot snapshot = example_snapshot();
+  snapshot.budget_epoch = 3;
+  snapshot.budget_emergency = true;
+  const std::string bytes = serialize(snapshot);
+  // tag, 8-byte budget, epoch 3, fence 0, then the flags byte.
+  constexpr std::size_t kFlagsAt = 1 + 8 + 1 + 1;
+  EXPECT_EQ(static_cast<unsigned char>(bytes[kFlagsAt]), 0x03u);
+  EXPECT_EQ(parse_snapshot(bytes), snapshot);
+  snapshot.launch_barrier_met = false;
+  EXPECT_EQ(parse_snapshot(serialize(snapshot)), snapshot);
+
+  // An unknown flag bit is refused even under a valid checksum.
+  std::string unknown = bytes.substr(0, bytes.size() - 4);
+  unknown[kFlagsAt] = static_cast<char>(0x07);
+  const std::uint32_t crc = crc32(unknown);
+  for (int byte = 0; byte < 4; ++byte) {
+    unknown.push_back(static_cast<char>((crc >> (8 * byte)) & 0xffu));
+  }
+  EXPECT_THROW(static_cast<void>(parse_snapshot(unknown)), InvalidArgument);
 }
 
 TEST(SnapshotTest, RejectsGpuCapsCountMismatch) {

@@ -216,6 +216,63 @@ TEST(StandbyDaemonTest, PromotesAfterALeaseOfSilenceAndServesReplicatedCaps) {
   runner.join();
 }
 
+TEST(StandbyDaemonTest, PromotedStandbyResyncsTheEmergencyFlag) {
+  // The primary had adopted an emergency revision: the replicated state
+  // carries its epoch and flag, and the promoted standby's first budget
+  // message to a failed-over client must say emergency too.
+  net::DaemonSnapshot state = make_state(0);
+  state.system_budget_watts = 3000.0;
+  state.budget_epoch = 1;
+  state.budget_emergency = true;
+  ReplicatorOptions replicator_options;
+  replicator_options.lease = milliseconds(150);
+  auto replicator = std::make_unique<Replicator>(replicator_options);
+  replicator->listen_tcp(0);
+  replicator->start();
+  replicator->publish(state);
+  const std::uint16_t repl_port = replicator->tcp_port();
+
+  const std::string standby_path = unique_socket_path("emergency");
+  StandbyOptions options;
+  options.primary = [repl_port] {
+    return net::make_transport(net::connect_tcp(repl_port));
+  };
+  options.daemon.system_budget_watts = 3680.0;
+  options.daemon.min_jobs = 2;
+  options.daemon.tick_interval = milliseconds(20);
+  options.lease = milliseconds(150);
+  options.dial_retry = milliseconds(10);
+  options.bind = [&standby_path](net::PowerDaemon& daemon) {
+    daemon.listen_unix(standby_path);
+  };
+  StandbyDaemon standby(options);
+  std::thread runner([&standby] { standby.run(); });
+  ASSERT_TRUE(eventually([&] { return standby.synced(); }));
+  replicator.reset();
+  ASSERT_TRUE(eventually([&] { return standby.promoted(); }));
+
+  net::ClientOptions client_options;
+  client_options.request_timeout = milliseconds(2'000);
+  net::RuntimeClient client(
+      net::RuntimeClient::Connector(
+          [&standby_path] { return net::connect_unix(standby_path); }),
+      client_options);
+  core::SampleMessage sample;
+  sample.sequence = 17;
+  sample.job_name = "a-wasteful";
+  sample.min_settable_cap_watts = 100.0;
+  sample.host_observed_watts = {150.0, 160.0};
+  sample.host_needed_watts = {140.0, 155.0};
+  ASSERT_TRUE(client.exchange(sample).has_value());
+  ASSERT_TRUE(client.last_budget().has_value());
+  EXPECT_EQ(client.last_budget()->epoch, 1u);
+  EXPECT_DOUBLE_EQ(client.last_budget()->budget_watts, 3000.0);
+  EXPECT_TRUE(client.last_budget()->emergency);
+
+  standby.stop();
+  runner.join();
+}
+
 TEST(StandbyDaemonTest, UnsyncedStandbyNeverPromotes) {
   StandbyOptions options;
   options.primary = []() -> std::unique_ptr<net::Transport> {

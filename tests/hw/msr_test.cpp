@@ -127,5 +127,25 @@ TEST(MsrFileTest, CopiesAreIndependentValues) {
   EXPECT_EQ(copy.hw_load(0x1a1), 0xcULL);
 }
 
+TEST(MsrFileTest, SlotsNameTheRegisterInTheFileAndItsCopies) {
+  MsrFile msrs;
+  const std::size_t limit = msrs.hw_slot(msr::kPkgPowerLimit);
+  EXPECT_EQ(msrs.hw_slot(msr::kPkgPowerLimit), limit);
+  msrs.write(msr::kPkgPowerLimit, 0x1234ULL);
+  EXPECT_EQ(msrs.hw_load_slot(limit), 0x1234ULL);
+  // An unknown address gets a fresh off-list slot, as hw_store would.
+  const std::size_t offlist = msrs.hw_slot(0x1a0);
+  EXPECT_NE(offlist, limit);
+  EXPECT_EQ(msrs.hw_load_slot(offlist), 0u);
+  EXPECT_FALSE(msrs.is_readable(0x1a0));
+  msrs.hw_store_slot(offlist, 0x77ULL);
+  EXPECT_EQ(msrs.hw_load(0x1a0), 0x77ULL);
+  MsrFile copy = msrs;
+  copy.hw_store_slot(limit, 0x5678ULL);
+  EXPECT_EQ(copy.read(msr::kPkgPowerLimit), 0x5678ULL);
+  EXPECT_EQ(msrs.read(msr::kPkgPowerLimit), 0x1234ULL);
+  EXPECT_EQ(copy.hw_load_slot(offlist), 0x77ULL);
+}
+
 }  // namespace
 }  // namespace ps::hw

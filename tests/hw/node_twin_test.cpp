@@ -194,5 +194,64 @@ TEST(NodeTwinTest, NoBorrowAcrossPhases) {
       node.compute_solution(kGigabytes, kIntensity, kWidth, &narrow), own);
 }
 
+TEST(NodeTwinTest, BorrowedPollIsTheNodesOwnSolve) {
+  for (const double cap : {240.0, 190.0, 150.0}) {
+    NodeModel twin(0, 1.0);
+    NodeModel node(1, 1.0);
+    NodeModel cold(7, 1.0);
+    twin.set_power_cap(cap);
+    node.set_power_cap(cap);
+    cold.set_power_cap(cap);
+    static_cast<void>(twin.run_poll(0.5));
+    const PhaseResult borrowed = node.run_poll(0.25, &twin);
+    expect_same_phase(borrowed, cold.run_poll(0.25));
+    // The borrowed entry is the node's memo from now on, and the energy
+    // it accrued is the cold node's to the last counter bit.
+    expect_same_phase(node.run_poll(0.125), cold.run_poll(0.125));
+    for (std::size_t s = 0; s < 2; ++s) {
+      EXPECT_EQ(node.package(s).read_energy_counter(),
+                cold.package(s).read_energy_counter());
+      EXPECT_EQ(node.package(s).fractional_energy_lsb(),
+                cold.package(s).fractional_energy_lsb());
+    }
+  }
+}
+
+/// True when the two poll solutions differ, so a wrong borrow would show.
+bool polls_differ(const PhaseResult& a, const PhaseResult& b) {
+  return a.power_watts != b.power_watts || a.frequency_ghz != b.frequency_ghz;
+}
+
+TEST(NodeTwinTest, PollTwinWithADifferentEtaIsRefused) {
+  for (const double cap : {240.0, 170.0}) {
+    NodeModel twin(0, 1.0);
+    twin.set_power_cap(cap);
+    const PhaseResult lent = twin.run_poll(0.5);
+    for (const auto& [eta0, eta1] : {std::pair{1.1, 1.1}, {1.0, 1.1}}) {
+      NodeModel node(1, eta0, eta1);
+      NodeModel cold(7, eta0, eta1);
+      node.set_power_cap(cap);
+      cold.set_power_cap(cap);
+      const PhaseResult own = cold.run_poll(0.5);
+      // The twin's memo holds the same key but another solver's answer.
+      ASSERT_TRUE(polls_differ(lent, own));
+      expect_same_phase(node.run_poll(0.5, &twin), own);
+    }
+  }
+}
+
+TEST(NodeTwinTest, PollTwinUnderOtherLimitsIsRefused) {
+  NodeModel twin(0, 1.0);
+  twin.set_power_cap(200.0);
+  const PhaseResult lent = twin.run_poll(0.5);
+  NodeModel node(1, 1.0);
+  NodeModel cold(7, 1.0);
+  node.set_power_cap(170.0);
+  cold.set_power_cap(170.0);
+  const PhaseResult own = cold.run_poll(0.5);
+  ASSERT_TRUE(polls_differ(lent, own));
+  expect_same_phase(node.run_poll(0.5, &twin), own);
+}
+
 }  // namespace
 }  // namespace ps::hw

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace ps::hw {
 namespace {
@@ -98,6 +104,61 @@ TEST(RaplTest, LimitSurvivesMsrRoundTrip) {
             static_cast<std::uint64_t>(90.0 / rapl.power_unit_watts()));
   EXPECT_NE(raw & (1ULL << 15), 0u);  // enable bit
   EXPECT_NE(raw & (1ULL << 16), 0u);  // clamp bit
+}
+
+/// The counter and residue after each accrual, accrued by dividing by
+/// the decoded energy unit: the definition the domain must keep.
+struct DividedCounter {
+  double unit = 0.0;
+  double fraction = 0.0;
+  std::uint32_t counter = 0;
+
+  void accrue(double joules) {
+    fraction += joules / unit;
+    const double whole = std::floor(fraction);
+    fraction -= whole;
+    counter += static_cast<std::uint32_t>(static_cast<std::uint64_t>(whole) &
+                                          0xffffffffULL);
+  }
+};
+
+TEST(RaplTest, EnergyAccrualMatchesTheDivisionFormulaBitForBit) {
+  RaplPackageDomain rapl(kTdp, kMin);
+  DividedCounter reference{.unit = rapl.energy_unit_joules()};
+  util::Rng rng(0xe6e7);
+  const auto expect_same = [](const RaplPackageDomain& domain,
+                               const DividedCounter& expected) {
+    ASSERT_EQ(domain.read_energy_counter(), expected.counter);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(domain.fractional_energy_lsb()),
+              std::bit_cast<std::uint64_t>(expected.fraction));
+  };
+  // Magnitudes from the smallest subnormal to ~10 kJ: sub-LSB polls,
+  // whole iterations and counter wraps.
+  const double edges[] = {std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::min(), 1e-300,
+                          1e-9, 0.0};
+  for (const double joules : edges) {
+    rapl.accumulate_energy(joules);
+    reference.accrue(joules);
+    expect_same(rapl, reference);
+  }
+  for (int i = 0; i < 20000; ++i) {
+    const double joules =
+        rng.uniform() * std::pow(10.0, rng.uniform(-12.0, 4.0));
+    rapl.accumulate_energy(joules);
+    reference.accrue(joules);
+    expect_same(rapl, reference);
+  }
+  // A copied domain keeps accruing into its own registers.
+  RaplPackageDomain copy = rapl;
+  DividedCounter copy_reference = reference;
+  for (int i = 0; i < 1000; ++i) {
+    const double joules = rng.uniform(0.0, 50.0);
+    copy.accumulate_energy(joules);
+    copy_reference.accrue(joules);
+  }
+  expect_same(copy, copy_reference);
+  expect_same(rapl, reference);
 }
 
 }  // namespace

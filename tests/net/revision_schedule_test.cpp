@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -231,6 +232,46 @@ TEST(BudgetPushScheduleTest, PushCarriesTheEmergencyFlagInForce) {
   ASSERT_TRUE(served.client().last_budget().has_value());
   EXPECT_EQ(served.client().last_budget()->epoch, 1u);
   EXPECT_TRUE(served.client().last_budget()->emergency);
+}
+
+/// An emergency revision outlives its daemon: the snapshot keeps the
+/// flag, and the daemon restarted over it resyncs a new client with the
+/// emergency budget message the first incarnation pushed.
+TEST(BudgetPushScheduleTest, RestartedDaemonResyncsTheEmergencyFlag) {
+  const std::string snapshot_path = unique_path("emergency", ".snap");
+  std::remove(snapshot_path.c_str());
+  {
+    Solo solo;
+    DaemonOptions options = daemon_options(solo.cluster, 2.0 * 200.0);
+    options.budget_revisions = {
+        revision(1, 2.0 * 180.0, 1, /*emergency=*/true)};
+    options.snapshot_path = snapshot_path;
+    Served served(options, "emergency-first");
+    CoordinatedAgent agent(solo.job, served.client());
+    static_cast<void>(agent.run(15));
+    ASSERT_TRUE(served.client().last_budget().has_value());
+    ASSERT_TRUE(served.client().last_budget()->emergency);
+  }
+  const std::optional<DaemonSnapshot> persisted =
+      load_snapshot(snapshot_path);
+  ASSERT_TRUE(persisted.has_value());
+  EXPECT_EQ(persisted->budget_epoch, 1u);
+  EXPECT_TRUE(persisted->budget_emergency);
+
+  Solo solo;
+  DaemonOptions options = daemon_options(solo.cluster, 2.0 * 200.0);
+  options.snapshot_path = snapshot_path;
+  {
+    Served served(options, "emergency-restarted");
+    CoordinatedAgent agent(solo.job, served.client());
+    static_cast<void>(agent.run(5));
+    ASSERT_TRUE(served.client().last_budget().has_value());
+    EXPECT_EQ(served.client().last_budget()->epoch, 1u);
+    EXPECT_DOUBLE_EQ(served.client().last_budget()->budget_watts,
+                     2.0 * 180.0);
+    EXPECT_TRUE(served.client().last_budget()->emergency);
+  }
+  std::remove(snapshot_path.c_str());
 }
 
 /// A revise_budget push carries no schedule position (at_epoch 0); its

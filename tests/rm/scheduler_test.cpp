@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace ps::rm {
 namespace {
@@ -119,6 +123,48 @@ TEST(SchedulerTest, InvalidJobRequestRejected) {
   Scheduler scheduler(4);
   EXPECT_THROW(scheduler.submit(job("", 2)), ps::InvalidArgument);
   EXPECT_THROW(scheduler.submit(job("a", 0)), ps::InvalidArgument);
+}
+
+TEST(SchedulerTest, HeadScanPicksTheDrainOrdersFront) {
+  const sim::SlaClass classes[] = {sim::SlaClass::kLatencyCritical,
+                                   sim::SlaClass::kStandard,
+                                   sim::SlaClass::kBestEffort};
+  util::Rng rng(0x5c4ed);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    Scheduler scheduler(8);
+    scheduler.submit(job("blocker", 8));
+    ASSERT_EQ(scheduler.start_pending().size(), 1u);
+    // The queue, by position: the submissions in order.
+    std::vector<std::string> queue;
+    const std::size_t queued = 1 + rng.uniform_index(12);
+    for (std::size_t i = 0; i < queued; ++i) {
+      JobRequest request = job("j" + std::to_string(i),
+                               1 + rng.uniform_index(8));
+      request.sla_class = classes[rng.uniform_index(3)];
+      scheduler.submit(request);
+      queue.push_back(request.name);
+    }
+    scheduler.complete("blocker");
+    // Drain in rounds: the jobs each round starts are a prefix of the
+    // drain order, and the head is its front at every step.
+    while (!queue.empty()) {
+      const std::vector<std::size_t> order = scheduler.drain_order();
+      ASSERT_EQ(order.size(), queue.size());
+      ASSERT_NE(scheduler.queued_head(), nullptr);
+      EXPECT_EQ(scheduler.queued_head()->name, queue[order.front()]);
+      const std::vector<NodeGrant> grants = scheduler.start_pending();
+      ASSERT_FALSE(grants.empty());
+      for (std::size_t k = 0; k < grants.size(); ++k) {
+        EXPECT_EQ(grants[k].job_name, queue[order[k]]);
+      }
+      for (const NodeGrant& grant : grants) {
+        queue.erase(std::find(queue.begin(), queue.end(), grant.job_name));
+        scheduler.complete(grant.job_name);
+      }
+    }
+    EXPECT_EQ(scheduler.queued_head(), nullptr);
+  }
 }
 
 }  // namespace
