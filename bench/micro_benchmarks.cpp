@@ -256,12 +256,9 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->Arg(4096)->Arg(1048576);
 
-/// The multi-tenant degradation step on a root-scale brownout: Arg
-/// single-host jobs, ~97% standard with 1% latency-critical and 2%
-/// best-effort, the budget below the mean need so most jobs are starved.
-/// Its cost should grow linearly: 7500 jobs ~10x the time of 750.
-void BM_ApplySlaDegradation(benchmark::State& state) {
-  const auto jobs = static_cast<std::size_t>(state.range(0));
+/// A root-scale fleet's samples: `jobs` single-host jobs, ~97% standard
+/// with 1% latency-critical and 2% best-effort, each needing 150-250 W.
+std::vector<core::SampleMessage> root_fleet_samples(std::size_t jobs) {
   util::Rng rng(42);
   std::vector<core::SampleMessage> samples(jobs);
   for (std::size_t j = 0; j < jobs; ++j) {
@@ -279,6 +276,15 @@ void BM_ApplySlaDegradation(benchmark::State& state) {
     sample.host_needed_watts = {needed};
     sample.host_observed_watts = {needed};
   }
+  return samples;
+}
+
+/// The multi-tenant degradation step on a root-scale brownout: Arg
+/// root-fleet jobs, the budget below the mean need so most jobs are
+/// starved. Its cost should grow linearly: 7500 jobs ~10x the time of 750.
+void BM_ApplySlaDegradation(benchmark::State& state) {
+  const auto jobs = static_cast<std::size_t>(state.range(0));
+  const std::vector<core::SampleMessage> samples = root_fleet_samples(jobs);
   const double budget = 185.0 * static_cast<double>(jobs);
   const core::PolicyContext context =
       core::context_from_samples(budget, 256.0, 16.0, samples);
@@ -291,6 +297,28 @@ void BM_ApplySlaDegradation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ApplySlaDegradation)
+    ->Arg(750)
+    ->Arg(7500)
+    ->Unit(benchmark::kMicrosecond);
+
+/// The root round's context build: a PolicyContext over Arg root-fleet
+/// samples read in place through pointers, as the daemon reads its
+/// latched samples.
+void BM_ContextFromSamples(benchmark::State& state) {
+  const auto jobs = static_cast<std::size_t>(state.range(0));
+  const std::vector<core::SampleMessage> samples = root_fleet_samples(jobs);
+  std::vector<const core::SampleMessage*> latched;
+  for (const core::SampleMessage& sample : samples) {
+    latched.push_back(&sample);
+  }
+  const double budget = 185.0 * static_cast<double>(jobs);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::context_from_samples(budget, 256.0, 16.0, latched));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ContextFromSamples)
     ->Arg(750)
     ->Arg(7500)
     ->Unit(benchmark::kMicrosecond);

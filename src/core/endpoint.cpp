@@ -296,13 +296,15 @@ std::optional<PolicyMessage> Endpoint::receive_policy() {
 
 PolicyContext context_from_samples(
     double system_budget_watts, double node_tdp_watts,
-    double uncappable_watts, const std::vector<SampleMessage>& samples) {
+    double uncappable_watts, std::span<const SampleMessage* const> samples) {
   PolicyContext context;
   context.system_budget_watts = system_budget_watts;
   context.node_tdp_watts = node_tdp_watts;
   context.uncappable_watts = uncappable_watts;
-  for (const SampleMessage& sample : samples) {
-    runtime::JobCharacterization job;
+  context.jobs.reserve(samples.size());
+  for (const SampleMessage* const sample_ptr : samples) {
+    const SampleMessage& sample = *sample_ptr;
+    runtime::JobCharacterization& job = context.jobs.emplace_back();
     job.host_count = sample.host_observed_watts.size();
     job.min_settable_cap_watts = sample.min_settable_cap_watts;
     job.monitor.workload_name = sample.job_name;
@@ -331,9 +333,20 @@ PolicyContext context_from_samples(
       job.gpu_min_cap_watts = sample.gpu_min_cap_watts;
       job.gpu_tdp_watts = sample.gpu_tdp_watts;
     }
-    context.jobs.push_back(std::move(job));
   }
   return context;
+}
+
+PolicyContext context_from_samples(
+    double system_budget_watts, double node_tdp_watts,
+    double uncappable_watts, const std::vector<SampleMessage>& samples) {
+  std::vector<const SampleMessage*> pointers;
+  pointers.reserve(samples.size());
+  for (const SampleMessage& sample : samples) {
+    pointers.push_back(&sample);
+  }
+  return context_from_samples(system_budget_watts, node_tdp_watts,
+                              uncappable_watts, pointers);
 }
 
 std::vector<PolicyMessage> make_policy_messages(

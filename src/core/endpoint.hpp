@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -227,7 +228,12 @@ class Endpoint {
   std::deque<std::string> policies_;
 };
 
-/// RM side: reconstructs a PolicyContext from received samples.
+/// RM side: reconstructs a PolicyContext from received samples, one job
+/// per sample in the given order. The span form reads samples where they
+/// are held (a daemon's latched samples), so a round copies none of them.
+[[nodiscard]] PolicyContext context_from_samples(
+    double system_budget_watts, double node_tdp_watts,
+    double uncappable_watts, std::span<const SampleMessage* const> samples);
 [[nodiscard]] PolicyContext context_from_samples(
     double system_budget_watts, double node_tdp_watts,
     double uncappable_watts, const std::vector<SampleMessage>& samples);

@@ -230,6 +230,14 @@ FacilityManager::FacilityManager(sim::Cluster& cluster,
              "horizon must cover at least one step");
   PS_REQUIRE(options.idle_node_watts >= 0.0,
              "idle power cannot be negative");
+  for (std::size_t n = 0; n < cluster.size(); ++n) {
+    // A round would leave a GPU node's devices at whatever cap they hold
+    // and never count them against the budget.
+    PS_REQUIRE(cluster.node(n).gpu_count() == 0,
+               "facility nodes must be CPU-only: job characterization "
+               "(characterize_job) has no GPU domain, so GPU caps would "
+               "never be programmed or budgeted");
+  }
   if (options_.system_budget_watts <= 0.0) {
     options_.system_budget_watts =
         cluster.node(0).tdp() * static_cast<double>(cluster.size());

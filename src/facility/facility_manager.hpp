@@ -199,7 +199,9 @@ struct FacilityResult {
 /// stack instead of a statistical model.
 class FacilityManager {
  public:
-  /// `cluster` must outlive the manager.
+  /// `cluster` must outlive the manager and hold no GPU node (throws
+  /// ps::InvalidArgument otherwise): job characterization has no GPU
+  /// domain, so the facility could neither program nor budget GPU caps.
   FacilityManager(sim::Cluster& cluster, const FacilityOptions& options);
 
   [[nodiscard]] FacilityResult run(std::span<const FacilityJobSpec> trace);

@@ -45,14 +45,14 @@ void add_caps(double& total, const std::vector<double>& cpu_caps,
   }
 }
 
-/// Appends one job's caps to a rack reply: the round is the newest
+/// Moves one job's caps into a rack reply: the round is the newest
 /// sequence carried, the rack budget the sum of the caps.
 void add_to_rack_reply(core::RackPolicyMessage& reply,
-                       const core::PolicyMessage& policy) {
+                       core::PolicyMessage&& policy) {
   reply.round = std::max(reply.round, policy.sequence);
   add_caps(reply.rack_budget_watts, policy.host_caps_watts,
            policy.host_gpu_caps_watts);
-  reply.policies.push_back(policy);
+  reply.policies.push_back(std::move(policy));
 }
 
 }  // namespace
@@ -536,11 +536,10 @@ void PowerDaemon::handle_frame(int fd, NetSession& session,
 }
 
 PowerDaemon::JobBinding PowerDaemon::bind_job_record(
-    int fd, const std::string& job_name) {
-  const auto now = Clock::now();
+    int fd, const std::string& job_name, JobTable::iterator hint) {
   const auto quarantined = quarantine_.find(job_name);
   if (quarantined != quarantine_.end()) {
-    if (now < quarantined->second) {
+    if (Clock::now() < quarantined->second) {
       {
         const std::lock_guard<std::mutex> lock(shared_mutex_);
         ++stats_.quarantine_rejections;
@@ -554,11 +553,13 @@ PowerDaemon::JobBinding PowerDaemon::bind_job_record(
       stats_.quarantine_entries = quarantine_.size();
     }
   }
-  const auto it = jobs_.find(job_name);
+  const auto it = hint != jobs_.end() && hint->first == job_name
+                      ? hint
+                      : jobs_.find(job_name);
   if (it == jobs_.end()) {
     JobRecord record;
     record.session_fd = fd;
-    return {jobs_.emplace(job_name, std::move(record)).first->second, true};
+    return {jobs_.emplace(job_name, std::move(record)).first, true};
   }
   JobRecord& record = it->second;
   // A rack session re-binds its own jobs every round (fd already bound);
@@ -566,7 +567,7 @@ PowerDaemon::JobBinding PowerDaemon::bind_job_record(
   PS_REQUIRE(record.session_fd < 0 || record.session_fd == fd,
              "job '" + job_name + "' is already registered");
   if (record.session_fd == fd) {
-    return {record, false};
+    return {it, false};
   }
   record.session_fd = fd;
   {
@@ -576,7 +577,7 @@ PowerDaemon::JobBinding PowerDaemon::bind_job_record(
   options_.obs.count("net.daemon.sessions_rehydrated");
   options_.obs.emit(completed_rounds(), obs::cat::kNetIo, "rehydrate",
                     {{"job", job_name}});
-  return {record, true};
+  return {it, true};
 }
 
 void PowerDaemon::send_budget_resync(int fd, NetSession& session) {
@@ -594,38 +595,38 @@ void PowerDaemon::send_budget_resync(int fd, NetSession& session) {
   ++stats_.budget_pushes;
 }
 
-bool PowerDaemon::offer_sample(JobRecord& record, core::SampleMessage sample,
-                               Clock::time_point now) {
+bool PowerDaemon::offer_sample(JobRecord& record,
+                               core::SampleMessage&& sample,
+                               Clock::time_point now, SampleCounts& counts) {
+  ++counts.received;
   if (record.have_policy && record.last_sequence >= sample.sequence) {
     // A sequence the daemon already answered: the reply was lost (to a
     // drop, a corrupted frame, or a daemon restart). Resending the
     // stored caps — instead of re-running the round — keeps a retried
     // sample from tearing a round in half when its peers have moved on.
-    {
-      const std::lock_guard<std::mutex> lock(shared_mutex_);
-      ++stats_.samples_received;
-      ++stats_.samples_stale;
-    }
-    options_.obs.count("net.daemon.samples_stale");
+    ++counts.stale;
     return true;
   }
-  const bool accepted = record.latch.offer(std::move(sample));
-  if (accepted) {
+  if (record.latch.offer(std::move(sample))) {
     // The heartbeat clock measures fresh-sample progress, not traffic: a
     // client looping on stale sequences must still stall-evict.
     record.last_sample_at = now;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(shared_mutex_);
-    ++stats_.samples_received;
-    if (!accepted) {
-      ++stats_.samples_stale;
-    }
-  }
-  if (!accepted) {
-    options_.obs.count("net.daemon.samples_stale");
+  } else {
+    ++counts.stale;
   }
   return false;
+}
+
+void PowerDaemon::commit_sample_counts(const SampleCounts& counts) {
+  {
+    const std::lock_guard<std::mutex> lock(shared_mutex_);
+    stats_.samples_received += counts.received;
+    stats_.samples_stale += counts.stale;
+    stats_.rack_jobs += counts.rack_jobs;
+  }
+  if (counts.stale > 0) {
+    options_.obs.count("net.daemon.samples_stale", counts.stale);
+  }
 }
 
 void PowerDaemon::handle_sample_frame(int fd, NetSession& session,
@@ -633,7 +634,7 @@ void PowerDaemon::handle_sample_frame(int fd, NetSession& session,
   PS_REQUIRE(!session.is_rack,
              "rack session sent a flat sample message");
   if (!session.registered) {
-    bind_job_record(fd, sample.job_name);
+    bind_job_record(fd, sample.job_name, jobs_.end());
     session.job_name = sample.job_name;
     session.registered = true;
     send_budget_resync(fd, session);
@@ -642,7 +643,11 @@ void PowerDaemon::handle_sample_frame(int fd, NetSession& session,
                "session is bound to job '" + session.job_name + "'");
   }
   JobRecord& record = jobs_.at(session.job_name);
-  if (offer_sample(record, std::move(sample), Clock::now())) {
+  SampleCounts counts;
+  const bool answered =
+      offer_sample(record, std::move(sample), Clock::now(), counts);
+  commit_sample_counts(counts);
+  if (answered) {
     resend_last_policy(fd, session, record);
   }
 }
@@ -671,22 +676,40 @@ void PowerDaemon::handle_rack_frame(int fd, NetSession& session,
   const auto now = Clock::now();
   core::RackPolicyMessage resend;
   resend.rack = session.rack_name;
-  for (core::SampleMessage& sample : rack.samples) {
-    const std::string job_name = sample.job_name;
-    const JobBinding binding = bind_job_record(fd, job_name);
-    JobRecord& record = binding.record;
-    if (binding.attached) {
-      session.rack_jobs.push_back(job_name);
-      const std::lock_guard<std::mutex> lock(shared_mutex_);
-      ++stats_.rack_jobs;
+  SampleCounts counts;
+  // A frame lists its jobs in name order, and a rack's jobs sit next to
+  // each other in the table's name order, so the record after the one
+  // bound last is nearly always the next sample's: the walk binds a
+  // frame without searching the table. A miss (interleaved racks, a new
+  // job) costs one name compare before the search.
+  JobTable::iterator hint = jobs_.end();
+  try {
+    for (core::SampleMessage& sample : rack.samples) {
+      const JobBinding binding = bind_job_record(fd, sample.job_name, hint);
+      auto& [job_name, record] = *binding.slot;
+      hint = std::next(binding.slot);
+      if (binding.attached) {
+        session.rack_jobs.push_back(job_name);
+        ++counts.rack_jobs;
+      }
+      if (offer_sample(record, std::move(sample), now, counts)) {
+        add_to_rack_reply(resend, stored_policy(job_name, record));
+      }
     }
-    if (offer_sample(record, std::move(sample), now)) {
-      add_to_rack_reply(resend, stored_policy(job_name, record));
-    }
+  } catch (...) {
+    commit_sample_counts(counts);  // what the frame did before the fault
+    throw;
   }
+  // Committed before the resend is queued: a client holding the resend
+  // must find every count of the frame that caused it in stats().
+  commit_sample_counts(counts);
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
     ++stats_.rack_frames_received;
+    if (!resend.policies.empty()) {
+      ++stats_.rack_policies_resent;
+      stats_.policies_resent += resend.policies.size();
+    }
   }
   options_.obs.count("net.daemon.rack_frames_received");
 
@@ -694,11 +717,6 @@ void PowerDaemon::handle_rack_frame(int fd, NetSession& session,
     // Already-answered rounds (post-crash reconnects, lost replies) get
     // one batched resend of the stored caps, mirroring the flat path's
     // per-job resend.
-    {
-      const std::lock_guard<std::mutex> lock(shared_mutex_);
-      ++stats_.rack_policies_resent;
-      stats_.policies_resent += resend.policies.size();
-    }
     options_.obs.count("net.daemon.rack_policies_resent");
     sessions_.queue_frame(
         fd, session,
@@ -794,28 +812,33 @@ void PowerDaemon::allocate_once() {
   // experiences as round-trip time at this level of the tree.
   const auto round_start = Clock::now();
 
-  // jobs_ is keyed by name, so iteration order is the deterministic
-  // job-name order: the allocation must not depend on fd values or
-  // connection timing.
-  std::vector<std::string> names;
-  std::vector<core::SampleMessage> samples;
-  names.reserve(jobs_.size());
-  samples.reserve(jobs_.size());
+  // One walk gathers each seat and its latched sample by pointer, in the
+  // table's job-name order: the allocation must not depend on fd values
+  // or connection timing. Everything below indexes these two arrays.
+  // No record can be erased before the fan-out is queued, so the seats
+  // stay valid: eviction follows only a protocol-error close or a tick,
+  // the budget push inside adopt_due can only close a session as kPeer
+  // (which never evicts), and the fan-out runs corked, so no session
+  // closes until the batch flushes.
+  const std::size_t job_count = jobs_.size();
+  std::vector<JobTable::iterator> seats;
+  std::vector<const core::SampleMessage*> samples;
+  seats.reserve(job_count);
+  samples.reserve(job_count);
   bool all_bootstrap = true;
-  for (auto& [name, record] : jobs_) {
-    names.push_back(name);
-    samples.push_back(record.latch.consume());
-    all_bootstrap = all_bootstrap && samples.back().sequence == 0;
+  std::uint64_t round_sequence = 0;
+  for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
+    const core::SampleMessage& sample = it->second.latch.consume();
+    seats.push_back(it);
+    samples.push_back(&sample);
+    all_bootstrap = all_bootstrap && sample.sequence == 0;
+    round_sequence = std::max(round_sequence, sample.sequence);
   }
 
   // Adopt scheduled budget revisions due for this round. A revision
   // with at_epoch e maps to the round consuming sample sequence e + 1
   // (the in-memory loop's epoch-e RM step), so both executions see the
   // same budget at the same allocation.
-  std::uint64_t round_sequence = 0;
-  for (const core::SampleMessage& sample : samples) {
-    round_sequence = std::max(round_sequence, sample.sequence);
-  }
   if (round_sequence > 0) {
     schedule_.adopt_due(round_sequence - 1, budget_,
                         "daemon.scheduled_revision",
@@ -832,8 +855,12 @@ void PowerDaemon::allocate_once() {
   core::RoundOutcome round = [&] {
     std::vector<core::JobLimits> limits;
     rm::PowerAllocation stored;
-    for (const auto& [name, record] : jobs_) {  // the samples' order
-      limits.push_back(limits_from_sample(*record.latch.latest(),
+    limits.reserve(job_count);
+    stored.job_host_caps.reserve(job_count);
+    stored.job_host_gpu_caps.reserve(job_count);
+    for (std::size_t j = 0; j < job_count; ++j) {
+      const JobRecord& record = seats[j]->second;
+      limits.push_back(limits_from_sample(*samples[j],
                                           options_.node_tdp_watts));
       stored.job_host_caps.push_back(record.last_caps_watts);
       stored.job_host_gpu_caps.push_back(record.last_gpu_caps_watts);
@@ -875,27 +902,27 @@ void PowerDaemon::allocate_once() {
     }
   }
 
-  std::vector<core::PolicyMessage> messages(samples.size());
-  for (std::size_t j = 0; j < samples.size(); ++j) {
+  std::vector<core::PolicyMessage> messages(job_count);
+  for (std::size_t j = 0; j < job_count; ++j) {
+    auto& [name, record] = *seats[j];
+    core::PolicyMessage& message = messages[j];
     if (kept) {
-      JobRecord& record = jobs_.at(names[j]);
-      record.last_sequence = samples[j].sequence;
-      messages[j] = stored_policy(names[j], record);
+      record.last_sequence = samples[j]->sequence;
+      message = stored_policy(name, record);
       continue;
     }
-    messages[j].host_caps_watts = std::move(round.caps.job_host_caps[j]);
+    message.host_caps_watts = std::move(round.caps.job_host_caps[j]);
     if (j < round.caps.job_host_gpu_caps.size()) {
-      messages[j].host_gpu_caps_watts =
+      message.host_gpu_caps_watts =
           std::move(round.caps.job_host_gpu_caps[j]);
     }
-    messages[j].sequence = samples[j].sequence;
-    messages[j].job_name = samples[j].job_name;
-    messages[j].budget_epoch = budget_.budget_epoch();
-    messages[j].fence_epoch = fence_epoch_;
-    JobRecord& record = jobs_.at(names[j]);
-    record.last_caps_watts = messages[j].host_caps_watts;
-    record.last_gpu_caps_watts = messages[j].host_gpu_caps_watts;
-    record.last_sequence = messages[j].sequence;
+    message.sequence = samples[j]->sequence;
+    message.job_name = name;
+    message.budget_epoch = budget_.budget_epoch();
+    message.fence_epoch = fence_epoch_;
+    record.last_caps_watts = message.host_caps_watts;
+    record.last_gpu_caps_watts = message.host_gpu_caps_watts;
+    record.last_sequence = message.sequence;
     record.have_policy = true;
   }
   // The round's deterministic trace record, on the round-sequence clock:
@@ -939,28 +966,45 @@ void PowerDaemon::allocate_once() {
     // of one write(2) per policy.
     const SessionTable::Batch batch(sessions_);
     std::map<int, core::RackPolicyMessage> rack_replies;
-    for (std::size_t j = 0; j < samples.size(); ++j) {
-      const auto it = jobs_.find(names[j]);
-      if (it == jobs_.end() || it->second.session_fd < 0) {
+    // A rack's jobs are neighbors in name order, so the session (and rack
+    // reply) of the job before is looked up again only when the fd
+    // changes. Queueing inside the batch only appends, so a session found
+    // here stays in the table until the batch flushes.
+    int session_fd = -1;
+    NetSession* session = nullptr;
+    core::RackPolicyMessage* reply = nullptr;
+    for (std::size_t j = 0; j < job_count; ++j) {
+      const JobRecord& record = seats[j]->second;
+      if (record.session_fd < 0) {
         continue;  // in grace: caps are stored, resent on reconnect
       }
-      if (!it->second.have_policy) {
+      if (!record.have_policy) {
         continue;  // kept round: this job holds no caps to keep
       }
-      const int fd = it->second.session_fd;
-      NetSession* session = sessions_.find(fd);
+      if (record.session_fd != session_fd) {
+        session_fd = record.session_fd;
+        session = sessions_.find(session_fd);
+        reply = nullptr;
+        if (session != nullptr && session->is_rack) {
+          const auto [slot, created] = rack_replies.try_emplace(session_fd);
+          reply = &slot->second;
+          if (created) {
+            reply->rack = session->rack_name;
+            reply->policies.reserve(session->rack_jobs.size());
+          }
+        }
+      }
       if (session == nullptr) {
         continue;
       }
-      if (session->is_rack) {
+      if (reply != nullptr) {
         // One batched rack-policy frame per aggregator, not one frame
         // per job: the rack budget it carries is the sum of its jobs'
-        // caps, i.e. the rack's renegotiated share for this epoch.
-        core::RackPolicyMessage& reply = rack_replies[fd];
-        reply.rack = session->rack_name;
-        add_to_rack_reply(reply, messages[j]);
+        // caps, i.e. the rack's renegotiated share for this epoch. The
+        // trace has been emitted, so the message can move.
+        add_to_rack_reply(*reply, std::move(messages[j]));
       } else {
-        queue_message(fd, *session, messages[j]);
+        queue_message(session_fd, *session, messages[j]);
         ++fanout_sessions;
       }
       ++sent;

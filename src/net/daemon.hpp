@@ -285,22 +285,38 @@ class PowerDaemon {
                            core::SampleMessage sample);
   void handle_rack_frame(int fd, NetSession& session,
                          const std::string& payload);
-  /// What bind_job_record did: the job's record, and whether this call
-  /// attached it to the fd (a new record, or one re-bound from another
-  /// session or from grace) rather than finding it already bound there.
+  /// Name-keyed: iteration order is the deterministic round order.
+  using JobTable = std::map<std::string, JobRecord>;
+  /// What bind_job_record did: the job's table entry, and whether this
+  /// call attached it to the fd (a new record, or one re-bound from
+  /// another session or from grace) rather than finding it already bound
+  /// there.
   struct JobBinding {
-    JobRecord& record;
+    JobTable::iterator slot;
     bool attached = false;
   };
-  /// Quarantine gate + job-record attach for one sample's job.
-  JobBinding bind_job_record(int fd, const std::string& job_name);
+  /// Quarantine gate + job-record attach for one sample's job. `hint` is
+  /// used instead of a table search when its key is `job_name`; pass
+  /// jobs_.end() when there is no guess.
+  JobBinding bind_job_record(int fd, const std::string& job_name,
+                             JobTable::iterator hint);
   /// Registration-time budget-epoch resync push (throws if the push
   /// kills the session).
   void send_budget_resync(int fd, NetSession& session);
+  /// What a frame's samples did to the counters: tallied per sample,
+  /// committed once per frame, before any reply to the frame is queued.
+  struct SampleCounts {
+    std::size_t received = 0;
+    std::size_t stale = 0;
+    std::size_t rack_jobs = 0;  ///< Jobs a rack frame attached.
+  };
   /// Returns true when the sequence was already answered — the caller
-  /// must resend the stored caps; otherwise offers the sample.
-  bool offer_sample(JobRecord& record, core::SampleMessage sample,
-                    Clock::time_point now);
+  /// must resend the stored caps; otherwise offers the sample. Either
+  /// way the sample is tallied in `counts`.
+  bool offer_sample(JobRecord& record, core::SampleMessage&& sample,
+                    Clock::time_point now, SampleCounts& counts);
+  /// Adds `counts` to stats() under one lock.
+  void commit_sample_counts(const SampleCounts& counts);
   void close_session(int fd, NetSession& session, CloseCause cause);
   /// Evicts a batch of jobs (unknown names are skipped) and reclaims
   /// their watts, with one conservation check and, when any job was
@@ -337,8 +353,7 @@ class PowerDaemon {
   std::unique_ptr<core::Policy> policy_;
   EventLoop loop_;
   SessionTable sessions_;
-  /// Name-keyed: iteration order is the deterministic round order.
-  std::map<std::string, JobRecord> jobs_;
+  JobTable jobs_;
   /// Per-level round latency (barrier satisfied -> replies flushed) and
   /// fan-out gauges; null when no metrics registry is attached.
   obs::Histogram* round_latency_ = nullptr;

@@ -155,6 +155,98 @@ TEST(EndpointTest, ProtocolCarriesTheFullCoordinationExchange) {
   EXPECT_LE(total, budget + 8.0 * 0.5);
 }
 
+/// Every field context_from_samples fills, compared exactly.
+void expect_same_context(const PolicyContext& actual,
+                         const PolicyContext& expected) {
+  EXPECT_EQ(actual.system_budget_watts, expected.system_budget_watts);
+  EXPECT_EQ(actual.node_tdp_watts, expected.node_tdp_watts);
+  EXPECT_EQ(actual.uncappable_watts, expected.uncappable_watts);
+  ASSERT_EQ(actual.jobs.size(), expected.jobs.size());
+  for (std::size_t j = 0; j < actual.jobs.size(); ++j) {
+    const runtime::JobCharacterization& a = actual.jobs[j];
+    const runtime::JobCharacterization& e = expected.jobs[j];
+    SCOPED_TRACE("job " + std::to_string(j));
+    EXPECT_EQ(a.host_count, e.host_count);
+    EXPECT_EQ(a.min_settable_cap_watts, e.min_settable_cap_watts);
+    EXPECT_EQ(a.node_tdp_watts, e.node_tdp_watts);
+    EXPECT_EQ(a.monitor.workload_name, e.monitor.workload_name);
+    EXPECT_EQ(a.monitor.host_average_power_watts,
+              e.monitor.host_average_power_watts);
+    EXPECT_EQ(a.monitor.max_host_power_watts, e.monitor.max_host_power_watts);
+    EXPECT_EQ(a.monitor.min_host_power_watts, e.monitor.min_host_power_watts);
+    EXPECT_EQ(a.balancer.host_needed_power_watts,
+              e.balancer.host_needed_power_watts);
+    EXPECT_EQ(a.balancer.max_host_needed_watts,
+              e.balancer.max_host_needed_watts);
+    EXPECT_EQ(a.balancer.min_host_needed_watts,
+              e.balancer.min_host_needed_watts);
+    EXPECT_EQ(a.host_gpu_needed_watts, e.host_gpu_needed_watts);
+    EXPECT_EQ(a.host_gpu_observed_watts, e.host_gpu_observed_watts);
+    EXPECT_EQ(a.gpu_min_cap_watts, e.gpu_min_cap_watts);
+    EXPECT_EQ(a.gpu_tdp_watts, e.gpu_tdp_watts);
+    EXPECT_EQ(a.sla_class, e.sla_class);
+  }
+}
+
+/// The span form over pointers into `samples` equals the vector form,
+/// and follows the pointers' order.
+void expect_span_matches_vector(const std::vector<SampleMessage>& samples) {
+  const PolicyContext from_vector =
+      context_from_samples(1234.5, 256.0, 16.0, samples);
+  std::vector<const SampleMessage*> pointers;
+  for (const SampleMessage& sample : samples) {
+    pointers.push_back(&sample);
+  }
+  expect_same_context(context_from_samples(1234.5, 256.0, 16.0, pointers),
+                      from_vector);
+
+  const std::vector<SampleMessage> reversed(samples.rbegin(), samples.rend());
+  const std::vector<const SampleMessage*> reversed_pointers(pointers.rbegin(),
+                                                            pointers.rend());
+  expect_same_context(
+      context_from_samples(1234.5, 256.0, 16.0, reversed_pointers),
+      context_from_samples(1234.5, 256.0, 16.0, reversed));
+}
+
+TEST(EndpointTest, ContextFromSamplePointersEqualsVectorFormOnCpuJobs) {
+  SampleMessage hungry = sample_message();
+  SampleMessage idle = sample_message();
+  idle.job_name = "idle";
+  idle.host_observed_watts = {90.0, 101.5, 88.25};
+  idle.host_needed_watts = {80.0, 96.0, 80.0};
+  idle.sla_class = sim::SlaClass::kBestEffort;
+  const std::vector<SampleMessage> samples = {hungry, idle};
+  expect_span_matches_vector(samples);
+
+  const PolicyContext context =
+      context_from_samples(1234.5, 256.0, 16.0, samples);
+  EXPECT_EQ(context.jobs[1].host_count, 3u);
+  EXPECT_EQ(context.jobs[1].monitor.max_host_power_watts, 101.5);
+  EXPECT_EQ(context.jobs[1].monitor.min_host_power_watts, 88.25);
+  EXPECT_EQ(context.jobs[1].balancer.max_host_needed_watts, 96.0);
+  EXPECT_FALSE(context.has_gpu_domain());
+}
+
+TEST(EndpointTest, ContextFromSamplePointersEqualsVectorFormOnGpuJobs) {
+  SampleMessage cpu = sample_message();
+  SampleMessage gpu = sample_message();
+  gpu.job_name = "gpu-train";
+  gpu.host_gpu_observed_watts = {610.0, 575.5};
+  gpu.host_gpu_needed_watts = {540.0, 512.25};
+  gpu.gpu_min_cap_watts = 400.0;
+  gpu.gpu_tdp_watts = 1200.0;
+  gpu.sla_class = sim::SlaClass::kLatencyCritical;
+  const std::vector<SampleMessage> samples = {cpu, gpu};
+  expect_span_matches_vector(samples);
+
+  const PolicyContext context =
+      context_from_samples(1234.5, 256.0, 16.0, samples);
+  EXPECT_TRUE(context.has_gpu_domain());
+  EXPECT_EQ(context.jobs[1].host_gpu_needed_watts, gpu.host_gpu_needed_watts);
+  EXPECT_EQ(context.jobs[1].gpu_tdp_watts, 1200.0);
+  EXPECT_TRUE(context.jobs[0].host_gpu_needed_watts.empty());
+}
+
 TEST(EndpointTest, ApplyValidatesAddressing) {
   sim::Cluster cluster(2);
   sim::JobSimulation job("right", {&cluster.node(0), &cluster.node(1)},

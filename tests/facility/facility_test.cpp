@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -181,6 +183,24 @@ TEST(FacilityManagerTest, InvalidOptionsRejected) {
   bad_trace.min_duration_hours = 0.0;
   EXPECT_THROW(static_cast<void>(generate_job_trace(rng, bad_trace)),
                ps::InvalidArgument);
+}
+
+TEST(FacilityManagerTest, GpuNodesRejected) {
+  // Job characterization fills no GPU field, so the facility could
+  // neither program nor budget a GPU node's caps: such a cluster is
+  // refused up front, naming the missing characterization.
+  sim::Cluster cluster(4);
+  cluster.node(2).attach_gpu();
+  try {
+    FacilityManager manager(cluster, small_facility_options());
+    FAIL() << "a cluster with a GPU node was accepted";
+  } catch (const ps::InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("characterize_job"),
+              std::string::npos)
+        << error.what();
+  }
+  sim::Cluster cpu_only(4);
+  EXPECT_NO_THROW(FacilityManager(cpu_only, small_facility_options()));
 }
 
 }  // namespace
