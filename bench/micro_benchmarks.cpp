@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -278,6 +279,49 @@ std::vector<core::SampleMessage> root_fleet_samples(std::size_t jobs) {
   }
   return samples;
 }
+
+/// One rack's sample frame of Arg root-fleet jobs, in name order.
+std::string rack_sample_payload(std::size_t jobs) {
+  core::RackSampleMessage rack;
+  rack.rack = "rack0";
+  rack.round = 1;
+  rack.samples = root_fleet_samples(jobs);
+  std::sort(rack.samples.begin(), rack.samples.end(),
+            [](const core::SampleMessage& a, const core::SampleMessage& b) {
+              return a.job_name < b.job_name;
+            });
+  return core::serialize(rack);
+}
+
+/// The root daemon's parse of one rack frame, by value: every sample
+/// allocates its name and host vectors.
+void BM_RackSampleParse(benchmark::State& state) {
+  const std::string payload =
+      rack_sample_payload(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::parse_rack_sample_message(payload));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_RackSampleParse)->Arg(2500);
+
+/// The same parse into one reused scratch, as the daemon runs it: a steady
+/// stream of same-shaped frames allocates nothing per sample.
+void BM_RackSampleParseInto(benchmark::State& state) {
+  const std::string payload =
+      rack_sample_payload(static_cast<std::size_t>(state.range(0)));
+  core::RackSampleMessage scratch;
+  for (auto _ : state) {
+    core::parse_rack_sample_message(payload, scratch);
+    benchmark::DoNotOptimize(scratch);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_RackSampleParseInto)->Arg(2500);
 
 /// The multi-tenant degradation step on a root-scale brownout: Arg
 /// root-fleet jobs, the budget below the mean need so most jobs are

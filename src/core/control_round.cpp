@@ -31,29 +31,59 @@ double watts_moved(const rm::PowerAllocation& from,
   return moved;
 }
 
-/// floor ≤ cap ≤ TDP (0.5 W slack) for every limit of `caps`.
-void check_bounds(const rm::PowerAllocation& caps,
-                  std::span<const JobLimits> jobs) {
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    for (const double cap : caps.job_host_caps[j]) {
-      invariants::check_cap_bounds(cap, jobs[j].floor_watts, jobs[j].tdp_watts,
-                                   0.5, "control_round.cap");
-    }
-    for (const double cap : caps.job_gpu_caps(j)) {
-      invariants::check_cap_bounds(cap, jobs[j].gpu_floor_watts,
-                                   jobs[j].gpu_tdp_watts, 0.5,
-                                   "control_round.gpu_cap");
-    }
+/// floor ≤ cap ≤ TDP (0.5 W slack) for every limit of one job.
+void check_bounds(const JobLimits& job, const std::vector<double>& cpu_caps,
+                  const std::vector<double>& gpu_caps) {
+  for (const double cap : cpu_caps) {
+    invariants::check_cap_bounds(cap, job.floor_watts, job.tdp_watts, 0.5,
+                                 "control_round.cap");
+  }
+  for (const double cap : gpu_caps) {
+    invariants::check_cap_bounds(cap, job.gpu_floor_watts, job.gpu_tdp_watts,
+                                 0.5, "control_round.gpu_cap");
   }
 }
 
 }  // namespace
 
+CapsInForce::CapsInForce(const rm::PowerAllocation& caps) {
+  jobs_.reserve(caps.job_host_caps.size());
+  for (std::size_t j = 0; j < caps.job_host_caps.size(); ++j) {
+    add(caps.job_host_caps[j], caps.job_gpu_caps(j));
+  }
+}
+
+double CapsInForce::total_watts() const {
+  double total = 0.0;
+  for (const Rows& job : jobs_) {
+    for (const double cap : *job.cpu) {
+      total += cap;
+    }
+  }
+  for (const Rows& job : jobs_) {
+    for (const double cap : *job.gpu) {
+      total += cap;
+    }
+  }
+  return total;
+}
+
+rm::PowerAllocation CapsInForce::copy() const {
+  rm::PowerAllocation caps;
+  caps.job_host_caps.reserve(jobs_.size());
+  caps.job_host_gpu_caps.reserve(jobs_.size());
+  for (const Rows& job : jobs_) {
+    caps.job_host_caps.push_back(*job.cpu);
+    caps.job_host_gpu_caps.push_back(*job.gpu);
+  }
+  return caps;
+}
+
 RoundOutcome ControlRound::run() const {
   PS_REQUIRE((context == nullptr ||
               (policy != nullptr && context->jobs.size() == jobs.size())) &&
                  (caps_in_force == nullptr ||
-                  caps_in_force->job_host_caps.size() == jobs.size()),
+                  caps_in_force->size() == jobs.size()),
              "a round needs a policy with its telemetry, and every job");
   RoundOutcome outcome;
   rm::PowerAllocation& caps = outcome.caps;
@@ -84,18 +114,20 @@ RoundOutcome ControlRound::run() const {
     }
     outcome.total_watts = caps.total_watts();
   } else {
+    // The policy's output after degradation, or on a round without
+    // telemetry a copy of the caps in force, made only to be clamped.
     rm::PowerAllocation allocated;
     if (context != nullptr) {
       const rm::PowerAllocation raw = policy->allocate(*context);
       allocated = apply_sla_degradation(*context, raw, budget_watts,
                                         "control_round.degrade");
       outcome.shed_watts = watts_moved(raw, allocated);
+      outcome.verdict = RoundVerdict::kApply;
+      outcome.total_watts = allocated.total_watts();
+    } else {
+      outcome.verdict = RoundVerdict::kKeep;
+      outcome.total_watts = caps_in_force->total_watts();
     }
-    const rm::PowerAllocation& candidate =
-        context != nullptr ? allocated : *caps_in_force;
-    outcome.verdict =
-        context != nullptr ? RoundVerdict::kApply : RoundVerdict::kKeep;
-    outcome.total_watts = candidate.total_watts();
     outcome.over_budget = budget_binds && outcome.total_watts > ceiling;
     if (outcome.over_budget && caps_in_force != nullptr &&
         caps_in_force->total_watts() <= ceiling) {
@@ -104,15 +136,24 @@ RoundOutcome ControlRound::run() const {
     } else if (outcome.over_budget) {
       // The emergency clamp: scale onto the budget, each domain toward
       // its own floor, lowest SLA class first.
+      if (context == nullptr) {
+        allocated = caps_in_force->copy();
+      }
       outcome.verdict = RoundVerdict::kClamp;
-      caps = clamp_to_budget(candidate, jobs, budget_watts);
+      caps = clamp_to_budget(allocated, jobs, budget_watts);
       outcome.total_watts = caps.total_watts();
-      outcome.shed_watts += watts_moved(candidate, caps);
+      outcome.shed_watts += watts_moved(allocated, caps);
     } else if (context != nullptr) {
       caps = std::move(allocated);
     }
-    check_bounds(
-        outcome.verdict == RoundVerdict::kKeep ? *caps_in_force : caps, jobs);
+    const bool kept = outcome.verdict == RoundVerdict::kKeep;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (kept) {
+        check_bounds(jobs[j], caps_in_force->cpu(j), caps_in_force->gpu(j));
+      } else {
+        check_bounds(jobs[j], caps.job_host_caps[j], caps.job_gpu_caps(j));
+      }
+    }
   }
   if (seed || budget_binds) {
     invariants::check_caps_fit_budget(

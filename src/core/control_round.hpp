@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "core/policy.hpp"
 #include "rm/allocation.hpp"
@@ -20,6 +21,43 @@ struct JobLimits {
   double gpu_floor_watts = 0.0;
   double gpu_tdp_watts = 0.0;
   sim::SlaClass sla_class = sim::SlaClass::kStandard;
+};
+
+/// The caps a round's jobs hold now, viewed where their holder keeps them
+/// (a daemon's job records, a loop's last allocation), so a round copies
+/// none of them. Each job's rows must outlive the view.
+class CapsInForce {
+ public:
+  CapsInForce() = default;
+  /// Views every job of `caps`.
+  explicit CapsInForce(const rm::PowerAllocation& caps);
+
+  void reserve(std::size_t jobs) { jobs_.reserve(jobs); }
+  /// Appends the next job: its CPU caps and its GPU caps (empty for a
+  /// single-domain job).
+  void add(const std::vector<double>& cpu, const std::vector<double>& gpu) {
+    jobs_.push_back({&cpu, &gpu});
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return jobs_.size(); }
+  [[nodiscard]] const std::vector<double>& cpu(std::size_t job) const {
+    return *jobs_[job].cpu;
+  }
+  [[nodiscard]] const std::vector<double>& gpu(std::size_t job) const {
+    return *jobs_[job].gpu;
+  }
+  /// Σ every CPU cap, then every GPU cap: rm::PowerAllocation's order, so
+  /// a view and a copy of the same caps sum to the same bits.
+  [[nodiscard]] double total_watts() const;
+  /// A copy with one GPU row per job, for the clamp that rewrites them.
+  [[nodiscard]] rm::PowerAllocation copy() const;
+
+ private:
+  struct Rows {
+    const std::vector<double>* cpu;
+    const std::vector<double>* gpu;
+  };
+  std::vector<Rows> jobs_;
 };
 
 enum class RoundVerdict { kSeed, kApply, kKeep, kClamp };
@@ -56,8 +94,10 @@ struct ControlRound {
   double budget_watts = 0.0;
   const Policy* policy = nullptr;          ///< Required with a context.
   const PolicyContext* context = nullptr;  ///< Null on a bootstrap round.
-  /// One entry per job (empty for a job holding none yet), or null.
-  const rm::PowerAllocation* caps_in_force = nullptr;
+  /// One entry per job (empty for a job holding none yet), or null. With
+  /// a context it is read only when the policy's output breaks a binding
+  /// budget; it is copied only to be clamped.
+  const CapsInForce* caps_in_force = nullptr;
   bool budget_binds = false;
 
   [[nodiscard]] RoundOutcome run() const;

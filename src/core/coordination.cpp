@@ -355,12 +355,13 @@ CoordinationResult CoordinationLoop::run_dynamic(
     const PolicyContext context = context_from_samples(
         budget, jobs.front()->host(0).tdp(),
         jobs.front()->host(0).params().dram_watts, samples);
+    const CapsInForce held(in_force);
     const RoundOutcome round =
         ControlRound{.jobs = limits,
                      .budget_watts = budget,
                      .policy = policy.get(),
                      .context = &context,
-                     .caps_in_force = &in_force,
+                     .caps_in_force = &held,
                      .budget_binds = policy->is_system_aware()}
             .run();
     if (round.over_budget && telemetry != nullptr) {

@@ -33,21 +33,22 @@ void write_sample(wire::Writer& out, const SampleMessage& message) {
   out.byte(static_cast<std::uint8_t>(message.sla_class));
 }
 
-SampleMessage read_sample(wire::Reader& in) {
-  SampleMessage message;
+/// Reads one sample's fields into `message`, reusing the capacity of its
+/// name and vectors; every field is overwritten.
+void read_sample(wire::Reader& in, SampleMessage& message) {
   message.sequence = in.varint();
-  message.job_name = in.name();
+  in.name(message.job_name);
   message.min_settable_cap_watts = in.watts();
-  message.host_observed_watts = in.watts_vector();
-  message.host_needed_watts = in.watts_vector();
+  in.watts_vector(message.host_observed_watts);
+  in.watts_vector(message.host_needed_watts);
   const std::size_t hosts = message.host_observed_watts.size();
   PS_REQUIRE(hosts > 0, "sample message has no hosts");
   PS_REQUIRE(message.host_needed_watts.size() == hosts,
              "sample vectors disagree on host count");
   message.gpu_min_cap_watts = in.watts();
   message.gpu_tdp_watts = in.watts();
-  message.host_gpu_observed_watts = in.watts_vector();
-  message.host_gpu_needed_watts = in.watts_vector();
+  in.watts_vector(message.host_gpu_observed_watts);
+  in.watts_vector(message.host_gpu_needed_watts);
   if (message.host_gpu_observed_watts.empty() &&
       message.host_gpu_needed_watts.empty()) {
     PS_REQUIRE(message.gpu_min_cap_watts == 0.0 &&
@@ -64,7 +65,6 @@ SampleMessage read_sample(wire::Reader& in) {
   const std::uint8_t sla_class = in.byte();
   PS_REQUIRE(sla_class < sim::kSlaClassCount, "unknown SLA class");
   message.sla_class = static_cast<sim::SlaClass>(sla_class);
-  return message;
 }
 
 void write_policy(wire::Writer& out, const PolicyMessage& message) {
@@ -93,11 +93,10 @@ PolicyMessage read_policy(wire::Reader& in) {
   return message;
 }
 
-std::string read_rack_name(wire::Reader& in) {
-  std::string rack = in.name();
+void read_rack_name(wire::Reader& in, std::string& rack) {
+  in.name(rack);
   PS_REQUIRE(rack.find(' ') == std::string::npos,
              "rack name must be a single token");
-  return rack;
 }
 
 }  // namespace
@@ -147,7 +146,8 @@ std::string serialize(const RackPolicyMessage& message, WireFidelity) {
 
 SampleMessage parse_sample_message(std::string_view payload) {
   wire::Reader in(payload, wire::Tag::kSample);
-  SampleMessage message = read_sample(in);
+  SampleMessage message;
+  read_sample(in, message);
   in.finish();
   return message;
 }
@@ -172,32 +172,38 @@ BudgetMessage parse_budget_message(std::string_view payload) {
 }
 
 RackSampleMessage parse_rack_sample_message(std::string_view payload) {
-  wire::Reader in(payload, wire::Tag::kRackSample);
   RackSampleMessage message;
-  message.rack = read_rack_name(in);
-  message.round = in.varint();
+  parse_rack_sample_message(payload, message);
+  return message;
+}
+
+void parse_rack_sample_message(std::string_view payload,
+                               RackSampleMessage& into) {
+  wire::Reader in(payload, wire::Tag::kRackSample);
+  read_rack_name(in, into.rack);
+  into.round = in.varint();
   const std::uint64_t jobs = in.count(kMinSampleBytes);
   PS_REQUIRE(jobs > 0, "rack sample message has no jobs");
-  message.samples.reserve(jobs);
+  // Samples already in `into` are read over in place, so a steady stream
+  // of same-shaped frames reuses every name and vector it allocated.
+  into.samples.resize(jobs);
   std::uint64_t max_sequence = 0;
   for (std::uint64_t j = 0; j < jobs; ++j) {
-    SampleMessage sample = read_sample(in);
-    PS_REQUIRE(message.samples.empty() ||
-                   message.samples.back().job_name < sample.job_name,
+    SampleMessage& sample = into.samples[j];
+    read_sample(in, sample);
+    PS_REQUIRE(j == 0 || into.samples[j - 1].job_name < sample.job_name,
                "rack samples must be unique and name-ordered");
     max_sequence = std::max(max_sequence, sample.sequence);
-    message.samples.push_back(std::move(sample));
   }
   in.finish();
-  PS_REQUIRE(message.round == max_sequence,
+  PS_REQUIRE(into.round == max_sequence,
              "rack round must equal the max embedded sequence");
-  return message;
 }
 
 RackPolicyMessage parse_rack_policy_message(std::string_view payload) {
   wire::Reader in(payload, wire::Tag::kRackPolicy);
   RackPolicyMessage message;
-  message.rack = read_rack_name(in);
+  read_rack_name(in, message.rack);
   message.round = in.varint();
   message.rack_budget_watts = in.watts();
   PS_REQUIRE(message.rack_budget_watts > 0.0,
@@ -253,11 +259,13 @@ WireMessageKind wire_message_kind(std::string_view payload) {
   }
 }
 
-bool SampleLatch::offer(SampleMessage message) {
-  if (latest_ && message.sequence <= latest_->sequence) {
+bool SampleLatch::offer(SampleMessage& message) {
+  if (!latest_) {
+    latest_.emplace();
+  } else if (message.sequence <= latest_->sequence) {
     return false;  // stale, out-of-order, or duplicate: no state change
   }
-  latest_ = std::move(message);
+  std::swap(*latest_, message);
   fresh_ = true;
   return true;
 }

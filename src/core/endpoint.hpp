@@ -163,6 +163,13 @@ enum class WireFidelity { kExact };
 [[nodiscard]] BudgetMessage parse_budget_message(std::string_view payload);
 [[nodiscard]] RackSampleMessage parse_rack_sample_message(
     std::string_view payload);
+/// The same parse into `into`, overwriting every field: its samples are
+/// read over in place, so a receiver that keeps one scratch message
+/// reuses the names and vectors of the last frame (or those a
+/// SampleLatch handed back). On a throw `into` holds an unspecified
+/// partial parse.
+void parse_rack_sample_message(std::string_view payload,
+                               RackSampleMessage& into);
 [[nodiscard]] RackPolicyMessage parse_rack_policy_message(
     std::string_view payload);
 
@@ -188,7 +195,11 @@ class SampleLatch {
  public:
   /// Accepts `message` iff it is the first sample seen or its sequence is
   /// strictly newer than the held one. Returns whether it was accepted.
-  bool offer(SampleMessage message);
+  /// An accepted sample is adopted by swap: `message` then holds the
+  /// sample held before (a default one on the first offer), whose buffers
+  /// the caller can parse the next sample into. A refused offer changes
+  /// neither side.
+  bool offer(SampleMessage& message);
 
   [[nodiscard]] const std::optional<SampleMessage>& latest() const noexcept {
     return latest_;

@@ -119,21 +119,32 @@ double Reader::watts() {
 }
 
 std::string Reader::name() {
+  std::string value;
+  name(value);
+  return value;
+}
+
+void Reader::name(std::string& into) {
   const std::string_view value = blob();
   PS_REQUIRE(!value.empty(), "empty name");
-  return std::string(value);
+  into.assign(value);
 }
 
 std::string_view Reader::blob() { return take(count(1)); }
 
 std::vector<double> Reader::watts_vector() {
-  const std::uint64_t n = count(8);
   std::vector<double> values;
-  values.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    values.push_back(watts());
-  }
+  watts_vector(values);
   return values;
+}
+
+void Reader::watts_vector(std::vector<double>& into) {
+  const std::uint64_t n = count(8);
+  into.clear();
+  into.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    into.push_back(watts());
+  }
 }
 
 std::uint64_t Reader::count(std::size_t min_element_bytes) {

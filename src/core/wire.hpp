@@ -72,10 +72,15 @@ class Reader {
   [[nodiscard]] double watts();
   /// A non-empty string.
   [[nodiscard]] std::string name();
+  /// The same, assigned to `into`, whose capacity it reuses.
+  void name(std::string& into);
   /// A length-prefixed byte string (an embedded payload).
   [[nodiscard]] std::string_view blob();
   /// A count of watt values followed by the values.
   [[nodiscard]] std::vector<double> watts_vector();
+  /// The same, assigned to `into`, whose capacity it reuses. On a throw
+  /// `into` holds the values read before the bad one.
+  void watts_vector(std::vector<double>& into);
   /// An element count, checked against the bytes left given that every
   /// element takes at least `min_element_bytes` (>= 1).
   [[nodiscard]] std::uint64_t count(std::size_t min_element_bytes);

@@ -185,7 +185,7 @@ void AggregatorDaemon::handle_client_frame(int fd, NetSession& session,
     queue_to_client(fd, session, job.last_policy);
     return;
   }
-  const bool accepted = job.latch.offer(std::move(sample));
+  const bool accepted = job.latch.offer(sample);
   {
     const std::lock_guard<std::mutex> lock(shared_mutex_);
     ++stats_.samples_received;

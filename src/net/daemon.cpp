@@ -251,7 +251,7 @@ void PowerDaemon::clamp_stored_caps() {
   // superseded allocation. A job not heard from since a restore has an
   // unknown envelope.
   std::vector<core::JobLimits> limits;
-  rm::PowerAllocation stored;
+  core::CapsInForce stored;
   for (const auto& [name, record] : jobs_) {
     if (record.have_policy) {
       const auto& latest = record.latch.latest();
@@ -263,8 +263,7 @@ void PowerDaemon::clamp_stored_caps() {
       job.hosts = record.last_caps_watts.size();
       job.gpu_domain = !record.last_gpu_caps_watts.empty();
       limits.push_back(job);
-      stored.job_host_caps.push_back(record.last_caps_watts);
-      stored.job_host_gpu_caps.push_back(record.last_gpu_caps_watts);
+      stored.add(record.last_caps_watts, record.last_gpu_caps_watts);
     }
   }
   if (limits.empty()) {
@@ -596,7 +595,7 @@ void PowerDaemon::send_budget_resync(int fd, NetSession& session) {
 }
 
 bool PowerDaemon::offer_sample(JobRecord& record,
-                               core::SampleMessage&& sample,
+                               core::SampleMessage& sample,
                                Clock::time_point now, SampleCounts& counts) {
   ++counts.received;
   if (record.have_policy && record.last_sequence >= sample.sequence) {
@@ -607,7 +606,7 @@ bool PowerDaemon::offer_sample(JobRecord& record,
     ++counts.stale;
     return true;
   }
-  if (record.latch.offer(std::move(sample))) {
+  if (record.latch.offer(sample)) {
     // The heartbeat clock measures fresh-sample progress, not traffic: a
     // client looping on stale sequences must still stall-evict.
     record.last_sample_at = now;
@@ -644,8 +643,7 @@ void PowerDaemon::handle_sample_frame(int fd, NetSession& session,
   }
   JobRecord& record = jobs_.at(session.job_name);
   SampleCounts counts;
-  const bool answered =
-      offer_sample(record, std::move(sample), Clock::now(), counts);
+  const bool answered = offer_sample(record, sample, Clock::now(), counts);
   commit_sample_counts(counts);
   if (answered) {
     resend_last_policy(fd, session, record);
@@ -654,7 +652,12 @@ void PowerDaemon::handle_sample_frame(int fd, NetSession& session,
 
 void PowerDaemon::handle_rack_frame(int fd, NetSession& session,
                                     const std::string& payload) {
-  core::RackSampleMessage rack = core::parse_rack_sample_message(payload);
+  // The whole frame is parsed and validated before anything is bound. An
+  // accepted sample swaps into its job's latch, which hands the scratch
+  // the buffers of the sample it held: the next frame is parsed into
+  // those, so a steady rack stream allocates nothing per sample.
+  core::RackSampleMessage& rack = rack_scratch_;
+  core::parse_rack_sample_message(payload, rack);
   if (!session.registered) {
     session.registered = true;
     session.is_rack = true;
@@ -692,7 +695,7 @@ void PowerDaemon::handle_rack_frame(int fd, NetSession& session,
         session.rack_jobs.push_back(job_name);
         ++counts.rack_jobs;
       }
-      if (offer_sample(record, std::move(sample), now, counts)) {
+      if (offer_sample(record, sample, now, counts)) {
         add_to_rack_reply(resend, stored_policy(job_name, record));
       }
     }
@@ -850,20 +853,18 @@ void PowerDaemon::allocate_once() {
   const double budget_watts = budget_.budget_watts();
 
   // The round itself: a bootstrap round seeds; later rounds allocate,
-  // and keep-vs-clamp sees every job's stored caps. Its inputs go out of
-  // scope before the fan-out.
+  // and keep-vs-clamp reads every job's stored caps in its record. Its
+  // inputs go out of scope before the fan-out rewrites the records.
   core::RoundOutcome round = [&] {
     std::vector<core::JobLimits> limits;
-    rm::PowerAllocation stored;
+    core::CapsInForce stored;
     limits.reserve(job_count);
-    stored.job_host_caps.reserve(job_count);
-    stored.job_host_gpu_caps.reserve(job_count);
+    stored.reserve(job_count);
     for (std::size_t j = 0; j < job_count; ++j) {
       const JobRecord& record = seats[j]->second;
       limits.push_back(limits_from_sample(*samples[j],
                                           options_.node_tdp_watts));
-      stored.job_host_caps.push_back(record.last_caps_watts);
-      stored.job_host_gpu_caps.push_back(record.last_gpu_caps_watts);
+      stored.add(record.last_caps_watts, record.last_gpu_caps_watts);
     }
     if (all_bootstrap) {
       return core::ControlRound{.jobs = limits, .budget_watts = budget_watts}

@@ -311,9 +311,10 @@ class PowerDaemon {
     std::size_t rack_jobs = 0;  ///< Jobs a rack frame attached.
   };
   /// Returns true when the sequence was already answered — the caller
-  /// must resend the stored caps; otherwise offers the sample. Either
-  /// way the sample is tallied in `counts`.
-  bool offer_sample(JobRecord& record, core::SampleMessage&& sample,
+  /// must resend the stored caps; otherwise offers the sample, which the
+  /// latch adopts by swap (`sample` then holds the one it replaced).
+  /// Either way the sample is tallied in `counts`.
+  bool offer_sample(JobRecord& record, core::SampleMessage& sample,
                     Clock::time_point now, SampleCounts& counts);
   /// Adds `counts` to stats() under one lock.
   void commit_sample_counts(const SampleCounts& counts);
@@ -354,6 +355,9 @@ class PowerDaemon {
   EventLoop loop_;
   SessionTable sessions_;
   JobTable jobs_;
+  /// Every rack frame is parsed into this one message; the latches hand
+  /// it back the buffers of the samples they replace.
+  core::RackSampleMessage rack_scratch_;
   /// Per-level round latency (barrier satisfied -> replies flushed) and
   /// fan-out gauges; null when no metrics registry is attached.
   obs::Histogram* round_latency_ = nullptr;

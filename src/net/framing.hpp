@@ -19,10 +19,17 @@ inline constexpr std::size_t kFrameHeaderBytes = 8;
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320 polynomial) of `bytes`.
 /// The framing checksum; also reused to guard daemon snapshots on disk.
-/// Computed slicing-by-8 (eight table lookups fold eight bytes); the
-/// values are the standard CRC-32 ones, so frames and snapshots written
+/// On an x86 host with PCLMULQDQ (checked once, at the first call) an
+/// input of 64 bytes or more is folded by carry-less multiplication, 64
+/// bytes per step, and its last 0-15 bytes go through the table loop of
+/// crc32_portable; every other input takes crc32_portable. The values are
+/// the standard CRC-32 ones either way, so frames and snapshots written
 /// by a byte-at-a-time implementation verify unchanged.
 [[nodiscard]] std::uint32_t crc32(std::string_view bytes);
+
+/// The portable path of crc32: slicing-by-8 (eight table lookups fold
+/// eight bytes). Exposed so that a PCLMULQDQ host can test it too.
+[[nodiscard]] std::uint32_t crc32_portable(std::string_view bytes);
 
 /// Wraps a payload in the transport framing: a 4-byte big-endian length
 /// prefix and a 4-byte big-endian CRC-32 of the payload, followed by the

@@ -105,11 +105,13 @@ RoundOutcome allocate(const Mix& mix, double budget,
                       const rm::PowerAllocation* in_force = nullptr,
                       bool binds = true) {
   const FixedPolicy policy(output);
+  const CapsInForce held =
+      in_force != nullptr ? CapsInForce(*in_force) : CapsInForce();
   return ControlRound{.jobs = mix.limits,
                       .budget_watts = budget,
                       .policy = &policy,
                       .context = &mix.context,
-                      .caps_in_force = in_force,
+                      .caps_in_force = in_force != nullptr ? &held : nullptr,
                       .budget_binds = binds}
       .run();
 }
@@ -117,9 +119,10 @@ RoundOutcome allocate(const Mix& mix, double budget,
 /// A binding round over the caps in force alone (no telemetry).
 RoundOutcome recheck(const Mix& mix, double budget,
                      const rm::PowerAllocation& in_force) {
+  const CapsInForce held(in_force);
   return ControlRound{.jobs = mix.limits,
                       .budget_watts = budget,
-                      .caps_in_force = &in_force,
+                      .caps_in_force = &held,
                       .budget_binds = true}
       .run();
 }
@@ -256,6 +259,32 @@ TEST_F(ControlRoundTest, KeepHoldsTheFittingCapsInForce) {
   EXPECT_EQ(tenants.verdict, RoundVerdict::kKeep);
   EXPECT_FALSE(tenants.over_budget);
   EXPECT_TRUE(tenants.caps.job_host_caps.empty());
+}
+
+TEST_F(ControlRoundTest, CapsInForceReadsTheRowsWhereTheyAreHeld) {
+  // Rows held apart, as a daemon's job records hold them: the view sums
+  // them in rm::PowerAllocation's order (every CPU cap, then every GPU
+  // cap), so its total has the same bits as a copy's.
+  const std::vector<double> cpu_a{0.1, 0.2};
+  const std::vector<double> gpu_a{0.3, 1e16};
+  const std::vector<double> cpu_b{-1e16, 0.7};
+  const std::vector<double> none;
+  CapsInForce held;
+  held.add(cpu_a, gpu_a);
+  held.add(cpu_b, none);
+  const rm::PowerAllocation copy = held.copy();
+  EXPECT_EQ(copy.job_host_caps, (Caps{cpu_a, cpu_b}));
+  EXPECT_EQ(copy.job_host_gpu_caps, (Caps{gpu_a, none}));
+  EXPECT_EQ(held.total_watts(), copy.total_watts());
+  EXPECT_EQ(&held.cpu(1), &cpu_b);
+  EXPECT_EQ(&held.gpu(0), &gpu_a);
+
+  // A view of an allocation without GPU rows reads every job as CPU-only.
+  const rm::PowerAllocation cpu_only_caps{{{200.0}, {210.0}}, {}};
+  const CapsInForce view(cpu_only_caps);
+  ASSERT_EQ(view.size(), 2u);
+  EXPECT_TRUE(view.gpu(1).empty());
+  EXPECT_EQ(view.total_watts(), 410.0);
 }
 
 TEST_F(ControlRoundTest, ClampScalesOntoTheBudgetFloorsFirst) {

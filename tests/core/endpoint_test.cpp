@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/coordination.hpp"
 #include "core/policies.hpp"
 #include "sim/cluster.hpp"
@@ -245,6 +249,61 @@ TEST(EndpointTest, ContextFromSamplePointersEqualsVectorFormOnGpuJobs) {
   EXPECT_EQ(context.jobs[1].host_gpu_needed_watts, gpu.host_gpu_needed_watts);
   EXPECT_EQ(context.jobs[1].gpu_tdp_watts, 1200.0);
   EXPECT_TRUE(context.jobs[0].host_gpu_needed_watts.empty());
+}
+
+/// Rack frame `f` of a series whose frames differ in every dimension a
+/// reused parse must overwrite: job count, host count, GPU vectors, name
+/// length and SLA class.
+RackSampleMessage rack_frame(std::size_t f) {
+  RackSampleMessage rack;
+  rack.rack = f % 2 == 0 ? "r1" : "rack-with-a-long-name";
+  const std::size_t jobs = std::vector<std::size_t>{3, 1, 5, 2, 4}[f % 5];
+  for (std::size_t j = 0; j < jobs; ++j) {
+    SampleMessage& sample = rack.samples.emplace_back();
+    sample.sequence = 10 * f + j;
+    sample.job_name = std::string(1 + (f + j) % 4, 'a') + std::to_string(j);
+    sample.min_settable_cap_watts = 140.0 + static_cast<double>(f);
+    const std::size_t hosts = 1 + (f + 2 * j) % 3;
+    for (std::size_t h = 0; h < hosts; ++h) {
+      const double w = 150.0 + static_cast<double>(f * 7 + j * 3 + h);
+      sample.host_observed_watts.push_back(w);
+      sample.host_needed_watts.push_back(w - 5.0);
+      if ((f + j) % 3 == 1) {
+        sample.host_gpu_observed_watts.push_back(w + 100.0);
+        sample.host_gpu_needed_watts.push_back(w + 90.0);
+      }
+    }
+    if (sample.has_gpu_domain()) {
+      sample.gpu_min_cap_watts = 100.0;
+      sample.gpu_tdp_watts = 300.0 + static_cast<double>(f);
+    }
+    sample.sla_class = static_cast<sim::SlaClass>((f + j) % sim::kSlaClassCount);
+    rack.round = sample.sequence;
+  }
+  // Names must be ordered: sort by name, keeping each sample whole.
+  std::sort(rack.samples.begin(), rack.samples.end(),
+            [](const SampleMessage& a, const SampleMessage& b) {
+              return a.job_name < b.job_name;
+            });
+  return rack;
+}
+
+TEST(EndpointTest, RackSampleParseIntoAReusedScratchEqualsTheByValueParse) {
+  RackSampleMessage scratch;
+  for (std::size_t f = 0; f < 12; ++f) {
+    const std::string payload = serialize(rack_frame(f));
+    parse_rack_sample_message(payload, scratch);
+    ASSERT_EQ(scratch, parse_rack_sample_message(payload)) << "frame " << f;
+    ASSERT_EQ(scratch, rack_frame(f)) << "frame " << f;
+  }
+  // A frame that fails validation leaves the scratch usable: the next
+  // frame parses over it exactly.
+  std::string bad = serialize(rack_frame(2));
+  bad.back() = static_cast<char>(sim::kSlaClassCount);
+  EXPECT_THROW(parse_rack_sample_message(bad, scratch), ps::InvalidArgument);
+  const std::string payload = serialize(rack_frame(3));
+  parse_rack_sample_message(payload, scratch);
+  EXPECT_EQ(scratch, rack_frame(3));
 }
 
 TEST(EndpointTest, ApplyValidatesAddressing) {

@@ -10,7 +10,10 @@
 // that re-serializes to exactly the input bytes. No other exception
 // type escapes, and no single allocation made while parsing exceeds a
 // fixed multiple of the payload size — a count that escaped its bounds
-// check would ask for gigabytes.
+// check would ask for gigabytes. Rack-sample inputs are also parsed into
+// one long-lived scratch message, as the root daemon parses them: that
+// parse must throw exactly when the by-value parse does, and otherwise
+// give an equal message.
 //
 // This file replaces the global operator new to measure allocations, so
 // it is built as its own test binary.
@@ -21,6 +24,8 @@
 #include <functional>
 #include <iostream>
 #include <new>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -141,6 +146,20 @@ net::DaemonSnapshot snapshot(std::uint64_t fence) {
   return state;
 }
 
+/// A scratch rack message that already holds a larger, different frame:
+/// more jobs, GPU vectors, longer names, another class.
+core::RackSampleMessage dirty_rack_scratch() {
+  core::RackSampleMessage scratch;
+  scratch.rack = "a-previous-rack-name";
+  scratch.round = 99;
+  for (int j = 0; j < 4; ++j) {
+    scratch.samples.push_back(
+        gpu_sample("previous-job-with-a-long-name-" + std::to_string(j),
+                   90 + j));
+  }
+  return scratch;
+}
+
 std::vector<Kind> kinds() {
   core::RackSampleMessage rack_sample;
   rack_sample.rack = "rack7";
@@ -186,8 +205,30 @@ std::vector<Kind> kinds() {
        },
        {core::serialize(core::BudgetMessage{42, 2'877.3341077281243, true})}},
       {"rack-sample",
-       [](std::string_view b) {
-         return core::serialize(core::parse_rack_sample_message(b));
+       [scratch = dirty_rack_scratch()](std::string_view b) mutable {
+         // The into-parse a daemon runs on one long-lived scratch must
+         // agree with the by-value parse: both throw, or both give the
+         // same message. The scratch keeps whatever the last input left.
+         std::optional<core::RackSampleMessage> by_value;
+         try {
+           by_value = core::parse_rack_sample_message(b);
+         } catch (const Error&) {
+         }
+         bool into_threw = false;
+         try {
+           core::parse_rack_sample_message(b, scratch);
+         } catch (const Error&) {
+           into_threw = true;
+         }
+         if (into_threw != !by_value.has_value() ||
+             (by_value && *by_value != scratch)) {
+           throw std::logic_error(
+               "the into-parse disagrees with the by-value parse");
+         }
+         if (!by_value) {
+           throw InvalidArgument("both parses refused the input");
+         }
+         return core::serialize(*by_value);
        },
        {core::serialize(rack_sample)}},
       {"rack-policy",

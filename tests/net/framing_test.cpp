@@ -75,36 +75,64 @@ TEST(FramingTest, ChecksumRoundTrips) {
   EXPECT_EQ(crc32(""), 0x00000000u);
 }
 
-/// Table-free CRC-32: one polynomial step per bit, the definition the
-/// table-driven crc32 must reproduce.
+/// Table-free CRC-32: one polynomial step per bit, the definition both
+/// crc32 paths must reproduce. `crc` is the raw register.
+std::uint32_t bitwise_crc32_step(std::uint32_t crc, unsigned char byte) {
+  crc ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc;
+}
+
 std::uint32_t bitwise_crc32(std::string_view bytes) {
   std::uint32_t crc = 0xFFFFFFFFu;
   for (const char c : bytes) {
-    crc ^= static_cast<unsigned char>(c);
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
-    }
+    crc = bitwise_crc32_step(crc, static_cast<unsigned char>(c));
   }
   return crc ^ 0xFFFFFFFFu;
 }
 
-TEST(FramingTest, ChecksumMatchesBitwiseReferenceAtEveryLengthAndOffset) {
-  // Every length through 256 at every start offset within an 8-byte word
-  // covers each split between the 8-byte folds and the byte tail, aligned
-  // or not.
-  std::string buffer(8 + 256, '\0');
+std::string pseudo_random_bytes(std::size_t size) {
+  std::string buffer(size, '\0');
   std::uint32_t state = 0x2545F491u;
   for (char& c : buffer) {
     state = state * 1664525u + 1013904223u;
     c = static_cast<char>(state >> 24);
   }
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 256; ++length) {
+  return buffer;
+}
+
+TEST(FramingTest, ChecksumMatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length through 2 KiB at every start offset within a 16-byte
+  // block covers each split between the 64-byte folds, the 16-byte folds
+  // and the byte tail of the carry-less path, and between the 8-byte
+  // folds and the byte tail of the table path, aligned or not. The
+  // portable path is checked on its own, so a host that dispatches crc32
+  // to the carry-less path tests both.
+  constexpr std::size_t kMaxLength = 2048;
+  const std::string buffer = pseudo_random_bytes(16 + kMaxLength);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    // The reference register after each prefix, extended a byte at a time.
+    std::uint32_t reference = 0xFFFFFFFFu;
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
       const std::string_view bytes(buffer.data() + offset, length);
-      ASSERT_EQ(crc32(bytes), bitwise_crc32(bytes))
+      const std::uint32_t expected = reference ^ 0xFFFFFFFFu;
+      ASSERT_EQ(crc32(bytes), expected)
           << "offset " << offset << ", length " << length;
+      ASSERT_EQ(crc32_portable(bytes), expected)
+          << "portable, offset " << offset << ", length " << length;
+      if (length < kMaxLength) {
+        reference = bitwise_crc32_step(
+            reference, static_cast<unsigned char>(buffer[offset + length]));
+      }
     }
   }
+  // One frame the size of a 2,500-job rack sample, with an odd tail.
+  const std::string frame = pseudo_random_bytes(140 * 1024 + 13);
+  const std::uint32_t expected = bitwise_crc32(frame);
+  EXPECT_EQ(crc32(frame), expected);
+  EXPECT_EQ(crc32_portable(frame), expected);
 }
 
 TEST(FramingTest, RejectsCorruptedPayload) {
